@@ -36,7 +36,7 @@ BENCH_SCENARIO = "default"
 CHAR_STUDIES = ("topdown", "cache", "instmix")
 
 #: Result store shared by every bench (and the CLI's --reuse) — the
-#: sharded, LRU-indexed store; old flat entries migrate on first use.
+#: sharded, LRU-indexed store.
 STORE = ShardedResultStore(RESULTS_DIR / "cache")
 
 

@@ -37,7 +37,7 @@ from pathlib import Path
 from _common import RESULTS_DIR
 
 from repro import __version__
-from repro.harness.executor import _prebuild_datasets
+from repro.data import ensure_corpus, scenario_spec
 from repro.serve import (
     BenchService,
     ReplayResult,
@@ -102,7 +102,9 @@ def run_experiment() -> dict:
     dup_fraction = duplicate_fraction(trace)
     # Build the corpora once up front so dataset construction cost does
     # not pollute the first chunk's latency distribution.
-    _prebuild_datasets(working_set(TRACE))
+    for job in working_set(TRACE):
+        ensure_corpus(scenario_spec(job.scenario, scale=job.scale,
+                                    seed=job.seed))
 
     result = ReplayResult()
     with tempfile.TemporaryDirectory(prefix="serve-load-") as tmp:

@@ -34,7 +34,7 @@ from pathlib import Path
 from _common import RESULTS_DIR
 
 from repro import __version__
-from repro.harness.store import ResultStore
+from repro.serve import ShardedResultStore
 from repro.sweep import compile_sweep, run_sweep
 
 #: Committed trajectory at the repo root (benchmarks/ is one level down).
@@ -59,7 +59,7 @@ MIN_THROUGHPUT_RATIO = 0.05
 def run_experiment() -> dict:
     plan = compile_sweep(MANIFEST, kernels=KERNELS, scales=(SCALE,))
     with tempfile.TemporaryDirectory(prefix="sweep-bench-") as tmp:
-        store = ResultStore(Path(tmp))
+        store = ShardedResultStore(Path(tmp))
 
         cold_start = time.monotonic()
         cold = run_sweep(plan, reuse=True, store=store)

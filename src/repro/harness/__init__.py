@@ -4,7 +4,7 @@ from repro.harness.executor import (
     ExecutionPlan,
     Job,
     compile_plan,
-    execute_plan,
+    execute_jobs,
 )
 from repro.harness.runner import (
     ALL_STUDIES,
@@ -15,7 +15,7 @@ from repro.harness.runner import (
     run_suite,
     save_reports,
 )
-from repro.harness.store import ResultStore, default_result_store, job_digest
+from repro.harness.store import default_result_store, job_digest
 from repro.harness.studies import (
     STUDY_REGISTRY,
     Study,
@@ -27,8 +27,8 @@ from repro.harness.studies import (
 __all__ = [
     "ALL_STUDIES", "SCHEMA_VERSION", "KernelReport", "load_reports",
     "run_kernel_studies", "run_suite", "save_reports",
-    "ExecutionPlan", "Job", "compile_plan", "execute_plan",
-    "ResultStore", "default_result_store", "job_digest",
+    "ExecutionPlan", "Job", "compile_plan", "execute_jobs",
+    "default_result_store", "job_digest",
     "STUDY_REGISTRY", "Study", "create_study", "register_study",
     "study_names",
 ]

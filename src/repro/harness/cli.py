@@ -85,6 +85,67 @@ def _study_list(value: str) -> list[str]:
     return studies
 
 
+def _add_job_options(parser: argparse.ArgumentParser, *,
+                     scale: float | None = None,
+                     scenario: str | None = None, machine: bool = False,
+                     backend: str | None = None) -> None:
+    """Add the shared ``--scale/--seed/--scenario/--machine/--backend``
+    group, with the subcommand's own defaults.
+
+    *scale* adds ``--scale`` (defaulting to it) and ``--seed``;
+    *scenario* adds ``--scenario`` taking ``"one"`` name or ``"many"``;
+    *machine* adds ``--machine``; *backend* adds ``--backend`` taking
+    ``"one"`` backend name or ``"many"`` (a grid axis stored as
+    ``backends``, space- or comma-separated).
+    """
+    if scale is not None:
+        parser.add_argument("--scale", type=float, default=scale,
+                            help=f"dataset scale factor (default {scale})")
+        parser.add_argument("--seed", type=int, default=0,
+                            help="dataset seed (default 0)")
+    if scenario == "one":
+        parser.add_argument(
+            "--scenario", choices=scenario_names(), default="default",
+            help="named dataset scenario (default: default)",
+        )
+    elif scenario == "many":
+        parser.add_argument(
+            "--scenario", nargs="+", choices=scenario_names(),
+            default=["default"], metavar="SCENARIO",
+            help="dataset scenarios (default: default)",
+        )
+    if machine:
+        parser.add_argument(
+            "--machine", choices=sorted(MACHINES), default="B",
+            help="cache-hierarchy configuration for the trace studies "
+                 "(paper Table 5; default: B, the kernel-analysis machine)",
+        )
+    if backend == "one":
+        parser.add_argument(
+            "--backend", choices=BACKENDS, default=None,
+            help="execution backend (default: each kernel's own default; "
+                 "a kernel that does not implement it fails at compile "
+                 "time); joins the job digest",
+        )
+    elif backend == "many":
+        parser.add_argument(
+            "--backend", dest="backends", nargs="+", default=None,
+            type=_name_list, metavar="BACKEND",
+            help="execution backends to grid over, space- or comma-"
+                 "separated (default: each kernel's own default backend); "
+                 "every kernel must support every listed backend",
+        )
+
+
+def _add_studies(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument(
+        "--studies", nargs="+", default=[["timing"]], type=_study_list,
+        metavar="STUDY",
+        help=f"studies {what}, space- or comma-separated (default: "
+             f"timing; choices: {', '.join(study_names())})",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -103,31 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernels", dest="kernels_opt", nargs="+", default=None,
         metavar="KERNEL", help="kernel names (same as the positionals)",
     )
-    run.add_argument(
-        "--studies", nargs="+", default=[["timing"]], type=_study_list,
-        metavar="STUDY",
-        help="studies to run, space- or comma-separated "
-             f"(default: timing; choices: {', '.join(study_names())})",
-    )
-    run.add_argument("--scale", type=float, default=1.0,
-                     help="dataset scale factor (default 1.0)")
-    run.add_argument("--seed", type=int, default=0, help="dataset seed")
-    run.add_argument(
-        "--scenario", choices=scenario_names(), default="default",
-        help="named dataset scenario every kernel prepares on "
-             "(default: default)",
-    )
-    run.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="execution backend to run the kernels on (default: each "
-             "kernel's own default; a kernel that does not implement "
-             "the backend fails at compile time)",
-    )
-    run.add_argument(
-        "--machine", choices=sorted(MACHINES), default="B",
-        help="cache-hierarchy configuration for the trace studies "
-             "(paper Table 5; default: B, the kernel-analysis machine)",
-    )
+    _add_studies(run, "to run")
+    _add_job_options(run, scale=1.0, scenario="one", machine=True,
+                     backend="one")
     run.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes (default 1: serial, deterministic; N>1 "
@@ -161,17 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace one kernel: span tree, per-phase top-down, Chrome trace",
     )
     tracecmd.add_argument("kernel", metavar="KERNEL", help="kernel to trace")
-    tracecmd.add_argument("--scale", type=float, default=1.0,
-                          help="dataset scale factor (default 1.0)")
-    tracecmd.add_argument("--seed", type=int, default=0, help="dataset seed")
-    tracecmd.add_argument(
-        "--scenario", choices=scenario_names(), default="default",
-        help="named dataset scenario (default: default)",
-    )
-    tracecmd.add_argument(
-        "--machine", choices=sorted(MACHINES), default="B",
-        help="cache-hierarchy configuration (default B)",
-    )
+    _add_job_options(tracecmd, scale=1.0, scenario="one", machine=True)
     tracecmd.add_argument(
         "--trace-out", default=None, metavar="PATH",
         help="also write the spans as a Chrome trace-event JSON file",
@@ -181,12 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="run every kernel's oracle self-check"
     )
     validate.add_argument("--kernels", nargs="+", default=None)
-    validate.add_argument("--scale", type=float, default=0.5)
-    validate.add_argument("--seed", type=int, default=0)
-    validate.add_argument(
-        "--scenario", choices=scenario_names(), default="default",
-        help="named dataset scenario (default: default)",
-    )
+    _add_job_options(validate, scale=0.5, scenario="one")
 
     data = commands.add_parser(
         "data", help="inspect and manage the shared dataset store"
@@ -199,15 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     data_build = data_commands.add_parser(
         "build", help="pre-build (or warm-load) scenario corpora"
     )
-    data_build.add_argument(
-        "--scenario", nargs="+", choices=scenario_names(),
-        default=["default"], metavar="SCENARIO",
-        help="scenarios to build (default: default)",
-    )
-    data_build.add_argument("--scale", type=float, default=1.0,
-                            help="dataset scale factor (default 1.0)")
-    data_build.add_argument("--seed", type=int, default=0,
-                            help="dataset seed")
+    _add_job_options(data_build, scale=1.0, scenario="many")
     data_gc = data_commands.add_parser(
         "gc", help="remove stale artifacts (different generator version)"
     )
@@ -230,23 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
         "kernels", nargs="+", metavar="KERNEL",
         help="one request per name; repeat a name to submit duplicates",
     )
-    submit.add_argument(
-        "--studies", nargs="+", default=[["timing"]], type=_study_list,
-        metavar="STUDY", help="studies per request (default: timing)",
-    )
-    submit.add_argument("--scale", type=float, default=1.0)
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument(
-        "--scenario", choices=scenario_names(), default="default",
-    )
-    submit.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="execution backend for every request (default: each "
-             "kernel's own default); joins the job digest, so the same "
-             "kernel on two backends neither coalesces nor shares a "
-             "cache entry",
-    )
-    submit.add_argument("--machine", choices=sorted(MACHINES), default="B")
+    _add_studies(submit, "per request")
+    _add_job_options(submit, scale=1.0, scenario="one", machine=True,
+                     backend="one")
     submit.add_argument(
         "--workers", type=int, default=2, metavar="N",
         help="service worker threads (default 2)",
@@ -285,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
              "latency, hit rate and coalesce rate",
     )
     serve_bench.add_argument("--requests", type=int, default=500)
-    serve_bench.add_argument("--seed", type=int, default=0)
-    serve_bench.add_argument("--scale", type=float, default=0.05)
+    _add_job_options(serve_bench, scale=0.05)
     serve_bench.add_argument("--workers", type=int, default=4)
     serve_bench.add_argument(
         "--queue-limit", type=int, default=32,
@@ -320,13 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernels", nargs="*", default=[], metavar="KERNEL",
         help="requests to submit (and wait for) once the service is up",
     )
-    serve_up.add_argument("--scale", type=float, default=0.05)
-    serve_up.add_argument("--seed", type=int, default=0)
-    serve_up.add_argument(
-        "--scenario", choices=scenario_names(), default="default",
-    )
-    serve_up.add_argument("--machine", choices=sorted(MACHINES),
-                          default="B")
+    _add_job_options(serve_up, scale=0.05, scenario="one", machine=True)
     serve_up.add_argument("--workers", type=int, default=2)
     serve_up.add_argument(
         "--isolation", choices=("process", "inline"), default="process",
@@ -365,17 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
              "stitched cross-process Chrome trace",
     )
     serve_trace.add_argument("kernel", metavar="KERNEL")
-    serve_trace.add_argument("--scale", type=float, default=0.25)
-    serve_trace.add_argument("--seed", type=int, default=0)
-    serve_trace.add_argument(
-        "--scenario", choices=scenario_names(), default="default",
-    )
-    serve_trace.add_argument("--machine", choices=sorted(MACHINES),
-                             default="B")
-    serve_trace.add_argument(
-        "--studies", nargs="+", default=[["timing"]], type=_study_list,
-        metavar="STUDY", help="studies for the request (default: timing)",
-    )
+    _add_job_options(serve_trace, scale=0.25, scenario="one", machine=True)
+    _add_studies(serve_trace, "for the request")
     serve_trace.add_argument(
         "--isolation", choices=("process", "inline"), default="process",
         help="process (default) demonstrates cross-process stitching",
@@ -481,12 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="manifest name under benchmarks/manifests/ or a TOML path "
              "(default: matrix)",
     )
-    sweep_expand.add_argument(
-        "--backend", dest="backends", nargs="+", default=None,
-        type=_name_list, metavar="BACKEND",
-        help="show the grid multiplier a backend axis would add "
-             "(space- or comma-separated backend names)",
-    )
+    _add_job_options(sweep_expand, backend="many")
     sweep_run = sweep_commands.add_parser(
         "run", help="run a kernel × cell × scale grid and save sweep.json"
     )
@@ -503,12 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cells", nargs="+", default=None, type=_name_list,
         metavar="CELL", help="restrict to these manifest cells",
     )
-    sweep_run.add_argument(
-        "--studies", nargs="+", default=[["timing"]], type=_study_list,
-        metavar="STUDY",
-        help="studies per grid point (default: timing; paper-fidelity "
-             "cells get their gate studies added automatically)",
-    )
+    _add_studies(sweep_run, "per grid point (paper-fidelity cells get "
+                            "their gate studies added automatically)")
     sweep_run.add_argument(
         "--scales", nargs="+", type=float, default=[1.0], metavar="SCALE",
         help="dataset scale factors (default: 1.0)",
@@ -517,15 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", nargs="+", type=int, default=[0], metavar="SEED",
         help="dataset seeds (default: 0)",
     )
-    sweep_run.add_argument(
-        "--backend", dest="backends", nargs="+", default=None,
-        type=_name_list, metavar="BACKEND",
-        help="execution backends to grid over, space- or comma-"
-             "separated (default: each kernel's own default backend); "
-             "every kernel must support every listed backend",
-    )
-    sweep_run.add_argument("--machine", choices=sorted(MACHINES),
-                           default="B")
+    _add_job_options(sweep_run, machine=True, backend="many")
     sweep_run.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="executor worker processes (default 1)",
@@ -556,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_list() -> int:
+def _command_list(args: argparse.Namespace) -> int:
     rows = []
     for name in kernel_names():
         kernel = create_kernel(name)
@@ -765,35 +734,35 @@ def _command_data(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled data command {args.data_command!r}")
 
 
-def _service_summary(service) -> list[str]:
-    """Human-readable one-liners from a service's metrics registry."""
+def _print_service_summary(service, metrics_out: str | None) -> None:
+    """Print one-liners from a service's metrics registry, and write
+    the full metrics dump to *metrics_out* when given."""
     from repro.obs.exposition import parse_series
     from repro.obs.metrics import quantile_estimate
     from repro.serve.service import counter_total
 
     exported = service.metrics.as_dict()
-    lines = [
-        "submitted={:.0f} executed={:.0f} coalesced={:.0f} "
-        "cache_hits={:.0f} rejected={:.0f}".format(
-            counter_total(exported, "serve.submitted"),
-            counter_total(exported, "serve.executed"),
-            counter_total(exported, "serve.coalesced"),
-            counter_total(exported, "serve.cache_hits"),
-            counter_total(exported, "serve.rejected"),
-        )
-    ]
+    print("submitted={:.0f} executed={:.0f} coalesced={:.0f} "
+          "cache_hits={:.0f} rejected={:.0f}".format(
+              counter_total(exported, "serve.submitted"),
+              counter_total(exported, "serve.executed"),
+              counter_total(exported, "serve.coalesced"),
+              counter_total(exported, "serve.cache_hits"),
+              counter_total(exported, "serve.rejected"),
+          ))
     for key, payload in sorted(exported.get("histograms", {}).items()):
         if key.startswith("serve.latency_seconds") and payload["count"]:
             _, labels = parse_series(key)
             origin = labels.get("origin", "all")
             p50, p95, p99 = (quantile_estimate(payload, q)
                              for q in (0.50, 0.95, 0.99))
-            lines.append(
-                f"latency[{origin}]: n={payload['count']} "
-                f"p50={p50 * 1e3:.2f}ms p95={p95 * 1e3:.2f}ms "
-                f"p99={p99 * 1e3:.2f}ms"
-            )
-    return lines
+            print(f"latency[{origin}]: n={payload['count']} "
+                  f"p50={p50 * 1e3:.2f}ms p95={p95 * 1e3:.2f}ms "
+                  f"p99={p99 * 1e3:.2f}ms")
+    if metrics_out:
+        Path(metrics_out).write_text(
+            json.dumps(exported, indent=2, sort_keys=True))
+        print(f"metrics written to {metrics_out}")
 
 
 def _command_serve_submit(args: argparse.Namespace) -> int:
@@ -841,13 +810,7 @@ def _command_serve_submit(args: argparse.Namespace) -> int:
         title=(f"serve submit (workers={args.workers}, "
                f"isolation={args.isolation}, scale={args.scale})"),
     ))
-    for line in _service_summary(service):
-        print(line)
-    if args.metrics_out:
-        Path(args.metrics_out).write_text(
-            json.dumps(service.metrics.as_dict(), indent=2, sort_keys=True)
-        )
-        print(f"metrics written to {args.metrics_out}")
+    _print_service_summary(service, args.metrics_out)
     return 1 if failures else 0
 
 
@@ -895,13 +858,7 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
     ))
     print(f"served without execution: {served}/{result.completed} "
           f"(theoretical duplicate fraction {dup:.3f})")
-    for line in _service_summary(service):
-        print(line)
-    if args.metrics_out:
-        Path(args.metrics_out).write_text(
-            json.dumps(service.metrics.as_dict(), indent=2, sort_keys=True)
-        )
-        print(f"metrics written to {args.metrics_out}")
+    _print_service_summary(service, args.metrics_out)
     return 1 if result.errors else 0
 
 
@@ -993,20 +950,6 @@ def _command_serve_trace(args: argparse.Namespace) -> int:
     return 1 if report.error else 0
 
 
-def _command_serve(args: argparse.Namespace) -> int:
-    if args.serve_command == "submit":
-        return _command_serve_submit(args)
-    if args.serve_command == "bench":
-        return _command_serve_bench(args)
-    if args.serve_command == "up":
-        return _command_serve_up(args)
-    if args.serve_command == "status":
-        return _command_serve_status(args)
-    if args.serve_command == "trace":
-        return _command_serve_trace(args)
-    raise AssertionError(f"unhandled serve command {args.serve_command!r}")
-
-
 def _command_obs_export(args: argparse.Namespace) -> int:
     from repro.harness.runner import load_reports
     from repro.obs.exposition import exposition, snapshot
@@ -1051,14 +994,6 @@ def _command_obs_check(args: argparse.Namespace) -> int:
         path = obs_baseline.write_check(checks, args.out)
         print(f"verdict written to {path}")
     return 1 if obs_baseline.overall_status(checks) == "regress" else 0
-
-
-def _command_obs(args: argparse.Namespace) -> int:
-    if args.obs_command == "export":
-        return _command_obs_export(args)
-    if args.obs_command == "check":
-        return _command_obs_check(args)
-    raise AssertionError(f"unhandled obs command {args.obs_command!r}")
 
 
 def _command_cache(args: argparse.Namespace) -> int:
@@ -1192,37 +1127,14 @@ def _command_sweep_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_sweep(args: argparse.Namespace) -> int:
-    if args.sweep_command == "expand":
-        return _command_sweep_expand(args)
-    if args.sweep_command == "run":
-        return _command_sweep_run(args)
-    if args.sweep_command == "report":
-        return _command_sweep_report(args)
-    raise AssertionError(f"unhandled sweep command {args.sweep_command!r}")
-
-
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command: ``repro X`` is handled by ``_command_X`` and
+    ``repro X Y`` (serve, obs, sweep) by ``_command_X_Y``."""
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _command_list()
-    if args.command == "run":
-        return _command_run(args)
-    if args.command == "trace":
-        return _command_trace(args)
-    if args.command == "validate":
-        return _command_validate(args)
-    if args.command == "data":
-        return _command_data(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "obs":
-        return _command_obs(args)
-    if args.command == "cache":
-        return _command_cache(args)
-    if args.command == "sweep":
-        return _command_sweep(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    command = args.command
+    if command in ("serve", "obs", "sweep"):
+        command += "_" + getattr(args, f"{command}_command")
+    return globals()[f"_command_{command}"](args)
 
 
 if __name__ == "__main__":

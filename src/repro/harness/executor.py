@@ -1,27 +1,32 @@
-"""The execution layer: plan compilation and a failure-isolated pool.
+"""The execution layer: plan compilation and one-job runners.
 
 ``compile_plan`` turns a suite request into an :class:`ExecutionPlan` of
 per-kernel :class:`Job`\\ s (validated up front, so configuration errors
-raise before anything runs).  ``execute_plan`` dispatches the plan:
+raise before anything runs).  A job then runs through one of two
+runners:
 
-* serving cache hits from the :class:`~repro.harness.store.ResultStore`
-  when ``reuse`` is on;
-* in-process when ``jobs == 1`` (deterministic, no pickling);
-* over a pool of worker processes when ``jobs > 1``, with per-job
-  timeout and failure isolation — a kernel that raises, hangs past its
+* :func:`run_inline` — in the calling thread (deterministic, no
+  pickling);
+* :func:`run_in_process` — in a fresh worker process with a per-job
+  deadline and failure isolation: a kernel that raises, hangs past its
   deadline, or kills its worker yields a report whose ``error`` field is
-  set, and the rest of the suite keeps going.
+  set (via :func:`failure_report`, the one failure-report constructor).
 
-The pool is observable end to end: every worker runs under its own span
-tracer and ships its spans back inside the report; each span is *also*
-spooled to disk as it finishes, so a job that times out or crashes its
-worker still yields the spans it completed.  The parent records job
-lifecycle (queue-wait and run intervals) into the current tracer and
-metrics registry, and every report — including failures, which now carry
-their elapsed wall time — gets the executor's queue-wait/wall series
-merged into ``report.metrics``.
+Neither runner is called directly by the front-ends.
+:class:`~repro.serve.service.BenchService` is the one dispatcher: it
+looks each job up in the result store, single-flights it by
+``job_digest``, runs it through a runner on a worker thread (its worker
+threads are the parallelism), records its lifecycle via
+:func:`record_lifecycle` and saves the report.  :func:`execute_jobs` is
+the synchronous batch client over a transient service that
+``run_suite`` and ``run_sweep`` use.
 
-The pool is managed directly over :mod:`multiprocessing` rather than
+The process runner is observable end to end: the worker runs under its
+own span tracer and ships its spans back inside the report; each span is
+*also* spooled to disk as it finishes, so a job that times out or
+crashes its worker still yields the spans it completed.
+
+The worker is managed directly over :mod:`multiprocessing` rather than
 ``concurrent.futures.ProcessPoolExecutor``: a hung worker must be
 *terminated* on timeout (the executor API can cancel only jobs that have
 not started, and its atexit hook would block interpreter shutdown on the
@@ -32,26 +37,27 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import multiprocessing.connection
 import os
 import tempfile
 import time
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.data import ensure_corpus, scenario_spec
+from repro.data import scenario_spec
 from repro.data.streaming import streaming_mode
 from repro.errors import KernelError
 from repro.harness.runner import KernelReport, run_kernel_studies
 from repro.harness.studies import create_study
-from repro.harness.store import ResultStore, default_result_store
 from repro.kernels.base import KERNEL_REGISTRY, resolve_backend
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 from repro.obs.context import TraceContext, annotate_records
 from repro.obs.spans import NULL_TRACER, Tracer
 from repro.uarch.cache import MACHINE_B, CacheConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.serve.shards import ShardedResultStore
 
 
 @dataclass(frozen=True)
@@ -143,10 +149,22 @@ def compile_plan(
     )
 
 
-def _failure_report(job: Job, error: str) -> KernelReport:
+#: How a job's report was produced: run for this request, shared with
+#: an identical in-flight run, or served from the result store.
+EXECUTED, COALESCED, CACHED = "executed", "coalesced", "cached"
+
+
+def failure_report(job: Job, error: "BaseException | str",
+                   wall_seconds: float = 0.0) -> KernelReport:
+    """The structured report for a job that did not complete: *error*
+    (an exception, rendered ``"ExcType: message"``, or a ready string)
+    plus the job's metadata and the wall time it spent."""
+    if isinstance(error, BaseException):
+        error = f"{type(error).__name__}: {error}"
     return KernelReport(
         kernel=job.kernel,
         error=error,
+        wall_seconds=wall_seconds,
         scale=job.scale,
         seed=job.seed,
         machine=job.cache_config.name,
@@ -155,9 +173,10 @@ def _failure_report(job: Job, error: str) -> KernelReport:
     )
 
 
-def _execute_job(job: Job) -> KernelReport:
-    """Run one job, catching kernel failures into the report (which
-    still carries the elapsed wall time up to the failure)."""
+def run_inline(job: Job) -> KernelReport:
+    """Run one job in the calling thread, catching kernel failures into
+    the report (which still carries the elapsed wall time up to the
+    failure)."""
     started = time.monotonic()
     try:
         with streaming_mode(job.stream):
@@ -171,9 +190,7 @@ def _execute_job(job: Job) -> KernelReport:
                 backend=job.backend or None,
             )
     except Exception as error:  # noqa: BLE001 — isolate per-kernel failures
-        report = _failure_report(job, f"{type(error).__name__}: {error}")
-        report.wall_seconds = time.monotonic() - started
-        return report
+        return failure_report(job, error, time.monotonic() - started)
     if job.trace is not None and report.spans:
         annotate_records(report.spans, job.trace)
     return report
@@ -251,8 +268,8 @@ def _job_worker(job: Job, conn, spool_path: str) -> None:
     registry = obs_metrics.MetricsRegistry()
     try:
         with trace.use(tracer), obs_metrics.use(registry):
-            report = _execute_job(job)
-        # Failure reports from _execute_job bypass run_kernel_studies'
+            report = run_inline(job)
+        # Failure reports from run_inline bypass run_kernel_studies'
         # span/metric capture; attach what the worker did record.
         if not report.spans:
             report.spans = tracer.records()
@@ -270,34 +287,68 @@ def _mp_context():
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-@dataclass
-class _Running:
-    index: int
-    job: Job
-    process: multiprocessing.Process
-    deadline: float | None
-    started: float  # monotonic launch time (elapsed-wall accounting)
-    started_pc: float  # perf_counter launch time (tracer timebase)
-    queue_wait: float  # seconds the job sat queued before launch
-    spool_path: Path
+def run_in_process(job: Job, timeout: float | None = None,
+                   spool_dir: "str | Path | None" = None) -> KernelReport:
+    """Run one job in a fresh worker process, terminating it past
+    *timeout* seconds.
+
+    A worker that dies without reporting yields a ``WorkerDied`` report
+    and a deadline miss a ``Timeout`` report; both carry the elapsed
+    wall time and whatever spans reached the spool before the worker
+    went away.  *spool_dir* overrides where the span spool lives (tests
+    point it somewhere inspectable); the spool file is removed once the
+    job finishes — the spans have then shipped back or been recovered.
+    """
+    handle, spool_name = tempfile.mkstemp(prefix="repro-spans-",
+                                          suffix=".jsonl", dir=spool_dir)
+    os.close(handle)
+    spool_path = Path(spool_name)
+    ctx = _mp_context()
+    parent_conn, child_conn = ctx.Pipe(duplex=False)
+    process = ctx.Process(target=_job_worker,
+                          args=(job, child_conn, spool_name), daemon=True)
+    started = time.monotonic()
+    try:
+        process.start()
+        child_conn.close()
+        if parent_conn.poll(timeout):
+            try:
+                report = parent_conn.recv()
+            except EOFError:  # the worker died without reporting
+                report = None
+            process.join(timeout=5)
+            if report is None:
+                report = failure_report(
+                    job, f"WorkerDied: exit code {process.exitcode}")
+        else:
+            report = failure_report(job, f"Timeout: exceeded {timeout:g}s")
+    finally:
+        process.terminate()  # a no-op unless it hung or we were interrupted
+        process.join(timeout=5)
+        parent_conn.close()
+    if report.error is not None:
+        if report.wall_seconds == 0.0:
+            report.wall_seconds = time.monotonic() - started
+        if not report.spans:
+            report.spans = _read_spool(spool_path)
+    spool_path.unlink(missing_ok=True)
+    return report
 
 
-def _record_job(entry: _Running, report: KernelReport, elapsed: float) -> None:
-    """Fold job-lifecycle observability into *report* and the parent's
-    ambient tracer/metrics: queue-wait and wall gauges, an outcome
-    counter, and executor spans when a real tracer is installed."""
+def record_lifecycle(job: Job, report: KernelReport, queue_wait: float,
+                     started_pc: float, elapsed: float) -> None:
+    """Fold job-lifecycle observability into *report* and the ambient
+    tracer/metrics: queue-wait and wall gauges, an outcome counter, and
+    executor spans when a real tracer is installed.  *started_pc* is
+    the ``perf_counter`` time the run began (the tracer timebase)."""
     outcome = "ok" if report.error is None else "error"
     lifecycle = obs_metrics.MetricsRegistry()
-    lifecycle.counter(
-        "executor.jobs", kernel=entry.job.kernel, outcome=outcome
-    ).inc()
-    lifecycle.gauge(
-        "executor.queue_wait_seconds", kernel=entry.job.kernel
-    ).set(entry.queue_wait)
-    lifecycle.gauge(
-        "executor.wall_seconds", kernel=entry.job.kernel
-    ).set(elapsed)
-    lifecycle.histogram("executor.queue_wait_seconds").observe(entry.queue_wait)
+    lifecycle.counter("executor.jobs", kernel=job.kernel,
+                      outcome=outcome).inc()
+    lifecycle.gauge("executor.queue_wait_seconds",
+                    kernel=job.kernel).set(queue_wait)
+    lifecycle.gauge("executor.wall_seconds", kernel=job.kernel).set(elapsed)
+    lifecycle.histogram("executor.queue_wait_seconds").observe(queue_wait)
     exported = lifecycle.as_dict()
     report.metrics = (
         obs_metrics.merge(report.metrics, exported)
@@ -307,152 +358,23 @@ def _record_job(entry: _Running, report: KernelReport, elapsed: float) -> None:
 
     tracer = trace.current_tracer()
     if tracer is not NULL_TRACER:
-        trace_id = entry.job.trace.trace_id if entry.job.trace else None
-        if entry.queue_wait > 0:
-            tracer.add_record(
-                f"executor/queue-wait/{entry.job.kernel}",
-                entry.started_pc - entry.queue_wait,
-                entry.queue_wait,
-                trace=trace_id,
-            )
-        tracer.add_record(
-            f"executor/job/{entry.job.kernel}",
-            entry.started_pc,
-            elapsed,
-            {"outcome": outcome},
-            trace=trace_id,
-        )
-
-
-def _prebuild_datasets(pending: list[Job]) -> None:
-    """Build (or load) each distinct corpus once in the parent before
-    the pool forks: workers inherit the in-memory corpus (and find the
-    disk artifact), so N workers never race one cold build — the store's
-    lock makes such races correct, but serial-build-then-fork is faster
-    and keeps worker wall times comparable."""
-    specs = {}
-    for job in pending:
-        spec = scenario_spec(job.scenario, scale=job.scale, seed=job.seed)
-        specs.setdefault(spec.digest(), spec)
-    for spec in specs.values():
-        ensure_corpus(spec)
-
-
-def _execute_pool(
-    jobs: list[Job], workers: int, timeout: float | None,
-    spool_dir: "str | Path | None" = None,
-) -> list[KernelReport]:
-    """Run *jobs* over *workers* processes with per-job deadlines.
-
-    *spool_dir* overrides the per-pool temporary span-spool directory
-    (tests point it somewhere inspectable).  Spool files are unlinked
-    as each job finishes — once the spans are shipped back (or
-    recovered for a failed job) the spool has served its purpose.
-    """
-    ctx = _mp_context()
-    queue: deque[tuple[int, Job]] = deque(enumerate(jobs))
-    running: dict[multiprocessing.connection.Connection, _Running] = {}
-    results: list[KernelReport | None] = [None] * len(jobs)
-    pool_start = time.monotonic()
-
-    def finish(conn, report: KernelReport, terminate: bool = False) -> None:
-        entry = running.pop(conn)
-        if terminate:
-            entry.process.terminate()
-        entry.process.join(timeout=5)
-        conn.close()
-        elapsed = time.monotonic() - entry.started
-        if report.error is not None:
-            # A timed-out / crashed / raising job still spent real wall
-            # time; report it, plus whatever spans hit the spool before
-            # the worker went away.
-            if report.wall_seconds == 0.0:
-                report.wall_seconds = elapsed
-            if not report.spans:
-                report.spans = _read_spool(entry.spool_path)
-        _record_job(entry, report, elapsed)
-        entry.spool_path.unlink(missing_ok=True)
-        results[entry.index] = report
-
-    owned_dir = None
-    if spool_dir is None:
-        owned_dir = tempfile.TemporaryDirectory(prefix="repro-spans-")
-        spool_root = Path(owned_dir.name)
-    else:
-        spool_root = Path(spool_dir)
-        spool_root.mkdir(parents=True, exist_ok=True)
-    try:
-        try:
-            while queue or running:
-                while queue and len(running) < workers:
-                    index, job = queue.popleft()
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
-                    spool_path = spool_root / f"job-{index}.jsonl"
-                    process = ctx.Process(
-                        target=_job_worker,
-                        args=(job, child_conn, str(spool_path)),
-                        daemon=True,
-                    )
-                    process.start()
-                    child_conn.close()
-                    launched = time.monotonic()
-                    running[parent_conn] = _Running(
-                        index=index,
-                        job=job,
-                        process=process,
-                        deadline=launched + timeout if timeout else None,
-                        started=launched,
-                        started_pc=time.perf_counter(),
-                        queue_wait=launched - pool_start,
-                        spool_path=spool_path,
-                    )
-                ready = multiprocessing.connection.wait(
-                    list(running), timeout=0.05
-                )
-                for conn in ready:
-                    entry = running[conn]
-                    try:
-                        report = conn.recv()
-                    except EOFError:
-                        # The worker died without reporting (hard crash).
-                        code = entry.process.exitcode
-                        report = _failure_report(
-                            entry.job, f"WorkerDied: exit code {code}"
-                        )
-                    finish(conn, report)
-                now = time.monotonic()
-                for conn, entry in list(running.items()):
-                    if entry.deadline is not None and now > entry.deadline:
-                        finish(
-                            conn,
-                            _failure_report(
-                                entry.job, f"Timeout: exceeded {timeout:g}s"
-                            ),
-                            terminate=True,
-                        )
-        finally:
-            for conn, entry in list(running.items()):
-                entry.process.terminate()
-                entry.process.join(timeout=5)
-                conn.close()
-    finally:
-        if owned_dir is not None:
-            owned_dir.cleanup()
-    return [report for report in results if report is not None]
-
-
-#: How a :class:`JobOutcome`'s report was produced.
-EXECUTED, CACHED = "executed", "cached"
+        trace_id = job.trace.trace_id if job.trace else None
+        if queue_wait > 0:
+            tracer.add_record(f"executor/queue-wait/{job.kernel}",
+                              started_pc - queue_wait, queue_wait,
+                              trace=trace_id)
+        tracer.add_record(f"executor/job/{job.kernel}", started_pc, elapsed,
+                          {"outcome": outcome}, trace=trace_id)
 
 
 @dataclass(frozen=True)
 class JobOutcome:
-    """One job's result plus where it came from (fresh run or cache).
+    """One job's report plus its origin (:data:`EXECUTED`,
+    :data:`COALESCED` or :data:`CACHED`).
 
     ``execute_jobs`` returns these in submission order, so grids that
     run the same kernel many times (one per scenario cell — the sweep
-    driver's shape) keep every report; ``execute_plan``'s kernel-keyed
-    dict view is derived from them.
+    driver's shape) keep every report.
     """
 
     job: Job
@@ -465,62 +387,37 @@ def execute_jobs(
     workers: int = 1,
     timeout: float | None = None,
     reuse: bool = False,
-    store: ResultStore | None = None,
+    store: "ShardedResultStore | None" = None,
 ) -> list[JobOutcome]:
-    """Execute *jobs* and return one :class:`JobOutcome` per job, in
-    order.
+    """Execute *jobs* through a transient
+    :class:`~repro.serve.service.BenchService` and return one
+    :class:`JobOutcome` per job, in submission order.
 
-    With ``reuse=True`` cached reports are served without executing the
-    kernel (``origin == "cached"``) and fresh successful reports are
-    written back to *store* (default: the shared
-    ``benchmarks/results/cache/`` store).  Timeouts require process
-    isolation and are enforced only when ``workers > 1``.
+    ``workers == 1`` runs the jobs inline, one after another in
+    submission order; more workers run each job in its own worker
+    process, with *timeout* enforced per job.  With ``reuse=True``
+    cached reports are served without executing the kernel and fresh
+    successful reports are saved to *store* (default: the shared
+    ``benchmarks/results/cache/`` store).  Identical jobs in one batch
+    run once; the extra copies come back ``coalesced``.
     """
     if workers < 1:
         raise KernelError("workers must be >= 1")
-    if reuse and store is None:
-        store = default_result_store()
+    from repro.serve.service import BenchService  # serve builds on harness
 
-    outcomes: list[JobOutcome | None] = [None] * len(jobs)
-    pending: list[tuple[int, Job]] = []
-    for index, job in enumerate(jobs):
-        cached = store.load(job) if reuse and store is not None else None
-        if cached is not None:
-            outcomes[index] = JobOutcome(job=job, report=cached,
-                                         origin=CACHED)
-        else:
-            pending.append((index, job))
-
-    pending_jobs = [job for _, job in pending]
-    if workers == 1:
-        executed = [_execute_job(job) for job in pending_jobs]
-    else:
-        if len(pending_jobs) > 1:
-            _prebuild_datasets(pending_jobs)
-        executed = _execute_pool(pending_jobs, workers=workers,
-                                 timeout=timeout)
-
-    for (index, job), report in zip(pending, executed):
-        if reuse and store is not None:
-            store.save(job, report)
-        outcomes[index] = JobOutcome(job=job, report=report, origin=EXECUTED)
-    return [outcome for outcome in outcomes if outcome is not None]
-
-
-def execute_plan(
-    plan: ExecutionPlan,
-    jobs: int = 1,
-    timeout: float | None = None,
-    reuse: bool = False,
-    store: ResultStore | None = None,
-) -> dict[str, KernelReport]:
-    """Execute *plan* and return reports keyed by kernel, in plan order.
-
-    The kernel-keyed view suits single-scenario suites (one job per
-    kernel); grids with repeated kernels should call
-    :func:`execute_jobs` for the full per-job outcome list.
-    """
-    outcomes = execute_jobs(plan.jobs, workers=jobs, timeout=timeout,
-                            reuse=reuse, store=store)
-    reports = {outcome.job.kernel: outcome.report for outcome in outcomes}
-    return {job.kernel: reports[job.kernel] for job in plan.jobs}
+    service = BenchService(
+        workers, isolation="inline" if workers == 1 else "process",
+        timeout=timeout, store=store, reuse=reuse, max_queue=len(jobs),
+        autostart=False,
+    )
+    try:
+        handles = [service.submit_job(job) for job in jobs]
+        service.start()
+        return [JobOutcome(job=job, report=handle.wait(),
+                           origin=handle.origin)
+                for job, handle in zip(jobs, handles)]
+    finally:
+        # The transient service's serve.* series describe this call, not
+        # process traffic: keep them out of the ambient registry.
+        with obs_metrics.use(obs_metrics.MetricsRegistry()):
+            service.shutdown()

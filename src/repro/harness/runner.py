@@ -6,10 +6,13 @@ Three layers (see README "Harness architecture"):
   passes (``timing``/``topdown``/``cache``/``instmix``/``validate``/
   ``gpu``) in ``STUDY_REGISTRY``;
 * **executor** (:mod:`repro.harness.executor`) — compiles an
-  :class:`~repro.harness.executor.ExecutionPlan` and dispatches it over a
-  process pool with per-job timeout and failure isolation;
-* **store** (:mod:`repro.harness.store`) — a content-addressed report
-  cache, so repeated runs at identical parameters execute nothing.
+  :class:`~repro.harness.executor.ExecutionPlan` and runs its jobs
+  through :class:`~repro.serve.service.BenchService`, the one dispatcher
+  (result-store lookup, single-flight, inline or process-isolated
+  execution with per-job timeout, save);
+* **store** (:mod:`repro.harness.store`) — the content-addressed key of
+  the report cache, so repeated runs at identical parameters execute
+  nothing.
 
 This module holds the data model (:class:`KernelReport`), the single-job
 engine (:func:`run_kernel_studies`) and the versioned JSON serialization;
@@ -202,13 +205,14 @@ def run_suite(
 ) -> dict[str, KernelReport]:
     """Run the whole suite (or a subset) under the requested studies.
 
-    * ``jobs`` — worker processes; 1 (the default) runs in-process for
-      determinism, >1 dispatches over the parallel executor with
+    * ``jobs`` — concurrent jobs; 1 (the default) runs in-process for
+      determinism, >1 runs each kernel in its own worker process with
       per-kernel failure isolation.
     * ``timeout`` — per-kernel wall-clock limit in seconds (enforced when
       ``jobs > 1``; a timed-out kernel's report carries an ``error``).
     * ``reuse`` — serve cache hits from (and write misses to) the result
-      ``store`` (default: :class:`repro.harness.store.ResultStore` under
+      ``store`` (default: the
+      :class:`~repro.serve.shards.ShardedResultStore` under
       ``benchmarks/results/cache/``).
     * ``scenario`` — named dataset scenario from
       :data:`repro.data.SCENARIO_REGISTRY` every kernel prepares on.
@@ -218,7 +222,7 @@ def run_suite(
     * ``backend`` — execution backend for every kernel (``None``: each
       kernel's default); must be supported by all requested kernels.
     """
-    from repro.harness.executor import compile_plan, execute_plan
+    from repro.harness.executor import compile_plan, execute_jobs
 
     names = kernels if kernels is not None else tuple(kernel_names())
     plan = compile_plan(
@@ -226,7 +230,9 @@ def run_suite(
         cache_config=cache_config, scenario=scenario, stream=stream,
         backend=backend,
     )
-    return execute_plan(plan, jobs=jobs, timeout=timeout, reuse=reuse, store=store)
+    outcomes = execute_jobs(plan.jobs, workers=jobs, timeout=timeout,
+                            reuse=reuse, store=store)
+    return {outcome.job.kernel: outcome.report for outcome in outcomes}
 
 
 def _git_sha() -> str:

@@ -1,20 +1,16 @@
-"""The cached result store — the harness engine's third layer.
+"""Result-store keys: what a cached report is addressed by.
 
 Reports are cached on disk keyed by a content digest of everything that
 determines a job's outcome: kernel name, the (order-normalized) study
-set, scale, seed, dataset scenario, the cache-hierarchy configuration,
-and the package version.  ``run_suite(..., reuse=True)`` serves cache hits, so the 14
-benchmark figures stop re-characterizing the same kernels once per
-figure, and a repeated run at identical parameters executes nothing.
-
-Layout (under ``benchmarks/results/cache/`` by default, overridable via
-the ``REPRO_CACHE_DIR`` environment variable or the ``root`` argument)::
-
-    benchmarks/results/cache/
-        <16-hex-digest>.json    # {"schema_version", "job", "report"}
-
-Failed reports (``report.error`` set) are never cached: a crash or
-timeout should re-execute on the next run, not stick.
+set, scale, seed, dataset scenario and its content digest, backend, the
+cache-hierarchy configuration, and the package version.  This module
+owns that key (:func:`job_key` / :func:`job_digest`) and the default
+store location (``benchmarks/results/cache/``, overridable via the
+``REPRO_CACHE_DIR`` environment variable).  The store itself is
+:class:`~repro.serve.shards.ShardedResultStore`, and
+:class:`~repro.serve.service.BenchService` is the only code that loads
+or saves a job's report through it, so ``run_suite(..., reuse=True)``,
+sweeps and ``repro serve`` share one cache.
 """
 
 from __future__ import annotations
@@ -27,10 +23,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 import repro
-from repro.harness.runner import SCHEMA_VERSION, KernelReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.executor import Job
+    from repro.serve.shards import ShardedResultStore
 
 
 def default_cache_dir() -> Path:
@@ -89,64 +85,11 @@ def job_digest(job: "Job") -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-class ResultStore:
-    """Content-addressed on-disk cache of :class:`KernelReport`\\ s."""
-
-    def __init__(self, root: str | Path | None = None) -> None:
-        self.root = Path(root) if root is not None else default_cache_dir()
-
-    def path(self, job: "Job") -> Path:
-        return self.root / f"{job_digest(job)}.json"
-
-    def load(self, job: "Job") -> KernelReport | None:
-        """The cached report for *job*, or ``None`` on any miss
-        (absent, unreadable, or written by an incompatible schema)."""
-        path = self.path(job)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("schema_version") != SCHEMA_VERSION:
-            return None
-        record = payload.get("report")
-        if not isinstance(record, dict) or "kernel" not in record:
-            return None
-        report = KernelReport.from_dict(record)
-        if report.error is not None:
-            return None
-        return report
-
-    def save(self, job: "Job", report: KernelReport) -> Path | None:
-        """Cache *report* under *job*'s digest (no-op for failures)."""
-        if report.error is not None:
-            return None
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path(job)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "job": job_key(job),
-            "report": asdict(report),
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        return path
-
-    def clear(self) -> int:
-        """Delete every cached report; returns the number removed."""
-        removed = 0
-        if self.root.is_dir():
-            for entry in self.root.glob("*.json"):
-                entry.unlink()
-                removed += 1
-        return removed
-
-
-def default_result_store() -> ResultStore:
-    """The store ``execute_plan(reuse=True)`` and the CLI default to: the
-    digest-prefix-sharded, LRU-bounded store from :mod:`repro.serve`
-    over :func:`default_cache_dir` (lazy import — the serve layer builds
-    on the harness, not the other way around)."""
+def default_result_store() -> "ShardedResultStore":
+    """The store ``reuse=True`` runs and the CLI default to: a
+    :class:`~repro.serve.shards.ShardedResultStore` over
+    :func:`default_cache_dir` (lazy import — the serve layer builds on
+    the harness, not the other way around)."""
     from repro.serve.shards import ShardedResultStore
 
     return ShardedResultStore()

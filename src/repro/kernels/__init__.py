@@ -22,14 +22,6 @@ from repro.kernels.base import (
     register,
     resolve_backend,
 )
-from repro.kernels.datasets import (
-    SuiteData,
-    gbwt_queries,
-    mutate_sequence,
-    suite_data,
-    tsu_pairs,
-)
-
 # Importing the kernel modules registers them.
 from repro.kernels.gbv_kernel import GBVKernel, extract_gbv_inputs
 from repro.kernels.gbwt_kernel import GBWTKernel
@@ -55,7 +47,6 @@ __all__ = [
     "BACKENDS", "GPU", "KERNEL_CLASSES", "KERNEL_REGISTRY", "SCALAR",
     "VECTORIZED", "Kernel", "KernelResult", "create_kernel",
     "kernel_backends", "kernel_names", "register", "resolve_backend",
-    "SuiteData", "gbwt_queries", "mutate_sequence", "suite_data", "tsu_pairs",
     "GBVKernel", "extract_gbv_inputs",
     "GBWTKernel",
     "GSSWKernel", "extract_gssw_inputs",

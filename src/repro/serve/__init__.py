@@ -1,10 +1,11 @@
 """Benchmark-as-a-service: the always-on layer over the harness engine.
 
-* :class:`~repro.serve.service.BenchService` — async submit/poll/wait/
-  subscribe job API with request coalescing and admission control;
-* :class:`~repro.serve.shards.ShardedResultStore` — digest-prefix
-  sharded, LRU-bounded report cache (the flat
-  ``benchmarks/results/cache/`` layout's replacement);
+* :class:`~repro.serve.service.BenchService` — the one job dispatcher:
+  async submit/poll/wait/subscribe API with result-store lookup,
+  request coalescing, admission control and inline or process
+  execution (suite and sweep runs go through it too);
+* :class:`~repro.serve.shards.ShardedResultStore` — the result store:
+  digest-prefix sharded, LRU-bounded report cache;
 * :mod:`repro.serve.loadgen` — seeded request distributions and the
   replay driver behind ``benchmarks/bench_serve_load.py`` and
   ``repro serve bench``.
@@ -31,14 +32,13 @@ from repro.serve.service import (
     JobHandle,
     JobStatus,
     counter_total,
-    plan_handles,
 )
 from repro.serve.shards import ShardedResultStore
 
 __all__ = [
     "BenchService", "JobHandle", "JobStatus", "ShardedResultStore",
     "TraceSpec", "ReplayResult", "generate_requests", "working_set",
-    "duplicate_fraction", "replay", "counter_total", "plan_handles",
+    "duplicate_fraction", "replay", "counter_total",
     "ServeError", "ServeTimeout", "ServiceOverloaded",
     "QUEUED", "RUNNING", "DONE", "EXECUTED", "COALESCED", "CACHED",
     "DEFAULT_KERNELS",

@@ -1,21 +1,25 @@
-"""The benchmark-as-a-service layer: an async job API over the engine.
+"""The benchmark-as-a-service layer: the one job dispatcher.
 
-:class:`BenchService` turns the batch-shaped harness (compile a plan,
-execute it, collect reports) into a long-running service::
+:class:`BenchService` is the only code that, for a job, looks it up in
+the result store, single-flights it by ``job_digest``, runs it inline or
+in a worker process, and saves the report.  ``repro serve`` uses it as
+a long-running service; ``run_suite``, ``run_sweep`` and ``repro run``
+reach it through :func:`~repro.harness.executor.execute_jobs`, a
+synchronous client over a transient service::
 
     with BenchService(workers=4) as service:
         handle = service.submit("gbwt", studies=("timing",), scale=0.25)
         handle.poll()            # JobStatus(state="queued"/"running"/...)
         report = handle.wait()   # the KernelReport, when it lands
 
-Four mechanisms stack on top of the existing executor:
+Four mechanisms stack on top of the executor's one-job runners:
 
 * **Async job API** — ``submit`` returns a :class:`JobHandle`
   immediately; ``poll``/``wait``/``subscribe`` observe completion.  A
-  pool of worker threads drains the queue; each execution runs through
-  the same engine path as ``repro run`` (process isolation by default,
-  so per-job timeouts and failure isolation are inherited from the
-  executor).
+  pool of worker threads drains the queue in submission order; each
+  execution runs through :func:`~repro.harness.executor.run_in_process`
+  (process isolation, the default: per-job timeouts and failure
+  isolation) or :func:`~repro.harness.executor.run_inline`.
 * **Request coalescing** — submissions are single-flighted by
   ``job_digest``: while a job is in flight, identical submissions attach
   to it and share the one execution (the dataset store's build-once
@@ -31,7 +35,9 @@ Four mechanisms stack on top of the existing executor:
 
 Every lifecycle stage is observable: ``serve/queue-wait/<kernel>``,
 ``serve/coalesce/<kernel>`` and ``serve/execute/<kernel>`` spans land in
-the ambient tracer when one is installed, and the service's own
+the ambient tracer when one is installed; every engine execution also
+gets the executor's lifecycle gauges and ``executor/*`` spans
+(:func:`~repro.harness.executor.record_lifecycle`); and the service's own
 :class:`~repro.obs.metrics.MetricsRegistry` (``service.metrics``) holds
 the counters plus ``serve.latency_seconds`` histograms; ``shutdown``
 folds it into the process-current registry.
@@ -44,17 +50,21 @@ import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 
+from repro.data import ensure_corpus, scenario_spec
 from repro.errors import ServeError, ServeTimeout, ServiceOverloaded
 from repro.harness.executor import (
-    ExecutionPlan,
+    CACHED,
+    COALESCED,
+    EXECUTED,
     Job,
-    _execute_job,
-    _execute_pool,
-    _prebuild_datasets,
     compile_plan,
+    failure_report,
+    record_lifecycle,
+    run_in_process,
+    run_inline,
 )
 from repro.harness.runner import KernelReport
-from repro.harness.store import ResultStore, default_result_store, job_digest
+from repro.harness.store import default_result_store, job_digest
 from repro.serve.shards import ShardedResultStore
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as _trace
@@ -64,9 +74,6 @@ from repro.uarch.cache import MACHINE_B, CacheConfig
 
 #: Handle lifecycle states.
 QUEUED, RUNNING, DONE = "queued", "running", "done"
-
-#: How a handle's report was produced.
-EXECUTED, COALESCED, CACHED = "executed", "coalesced", "cached"
 
 #: Latency histogram bounds — the executor's seconds-flavoured defaults
 #: are too coarse for cache-hit latencies, which sit well under 1 ms.
@@ -189,17 +196,18 @@ class BenchService:
       (non-coalesced, non-cached) submissions past this many pending
       tickets are rejected with :class:`ServiceOverloaded`.
     * ``timeout`` — per-job wall-clock limit, enforced by the executor's
-      process pool (requires ``isolation="process"``, the default).
-    * ``isolation`` — ``"process"`` routes executions through the
-      executor's failure-isolated pool; ``"inline"`` runs them on the
+      process runner (requires ``isolation="process"``, the default).
+    * ``isolation`` — ``"process"`` runs each execution in its own
+      failure-isolated worker process; ``"inline"`` runs it on the
       worker thread (fast and deterministic; no timeout enforcement,
       best with ``workers=1`` or an injected ``runner``).
     * ``store`` — the report cache; ``None`` means the shared
-      :func:`~repro.harness.store.default_result_store` (sharded).
+      :func:`~repro.harness.store.default_result_store`.
       ``reuse=False`` disables caching entirely (every submission
-      executes or coalesces).
-    * ``runner`` — test hook: a ``Job -> KernelReport`` callable
-      replacing the engine execution path.
+      executes or coalesces, and *store* is ignored).
+    * ``runner`` — the substitution point for tests: a
+      ``Job -> KernelReport`` callable replacing the engine execution
+      path.
     * ``telemetry_port`` — when set, :meth:`start` binds a
       :class:`~repro.obs.telemetry.TelemetryServer` on
       ``127.0.0.1:<port>`` (0 = ephemeral) exposing ``/metrics``,
@@ -210,7 +218,7 @@ class BenchService:
     def __init__(self, workers: int = 2, max_queue: int = 64,
                  timeout: float | None = None,
                  isolation: str = "process",
-                 store: ResultStore | None = None,
+                 store: ShardedResultStore | None = None,
                  reuse: bool = True,
                  runner=None,
                  autostart: bool = True,
@@ -223,8 +231,8 @@ class BenchService:
         self.max_queue = max_queue
         self.timeout = timeout
         self.isolation = isolation
-        self.store = (store if store is not None
-                      else default_result_store() if reuse else None)
+        self.store = ((store if store is not None
+                       else default_result_store()) if reuse else None)
         self.runner = runner
         self.telemetry_port = telemetry_port
         self.telemetry = None
@@ -246,7 +254,7 @@ class BenchService:
     def start(self) -> "BenchService":
         """Launch the worker pool (idempotent).  Corpora for already-
         queued jobs are prebuilt first, so workers never race a cold
-        dataset build."""
+        dataset build; their queue wait counts from here."""
         with self._lock:
             if self._started:
                 return self
@@ -254,6 +262,10 @@ class BenchService:
             queued = [ticket.job for ticket in self._queue]
         if queued:
             _prebuild_datasets(queued)
+            with self._lock:
+                now = time.perf_counter()
+                for ticket in self._queue:
+                    ticket.enqueued = now
         for index in range(self.workers):
             thread = threading.Thread(
                 target=self._worker_loop, name=f"repro-serve-{index}",
@@ -281,7 +293,7 @@ class BenchService:
         if self.telemetry is not None:
             self.telemetry.stop()
             self.telemetry = None
-        if isinstance(self.store, ShardedResultStore):
+        if self.store is not None:
             self.store.join_eviction()
         obs_metrics.current_registry().merge_dict(self.metrics.as_dict())
 
@@ -447,14 +459,7 @@ class BenchService:
     def _execute_ticket(self, ticket: _Ticket, queue_wait: float) -> None:
         job = ticket.job
         started = time.perf_counter()
-        try:
-            report = self._run(job)
-        except Exception as error:  # noqa: BLE001 — a worker must survive
-            report = KernelReport(
-                kernel=job.kernel, error=f"{type(error).__name__}: {error}",
-                scale=job.scale, seed=job.seed,
-                machine=job.cache_config.name, scenario=job.scenario,
-            )
+        report = self._run(job, queue_wait)
         elapsed = time.perf_counter() - started
         self._record_span(
             f"serve/execute/{job.kernel}", started, elapsed,
@@ -485,19 +490,28 @@ class BenchService:
                 handle, report, EXECUTED if index == 0 else COALESCED
             )
 
-    def _run(self, job: Job) -> KernelReport:
+    def _run(self, job: Job, queue_wait: float) -> KernelReport:
+        """Execute *job*; any failure ends as a structured error report."""
         if self.runner is not None:
-            return self.runner(job)
-        # Build (or warm-load) the corpus in this process first: with
-        # process isolation the forked executor worker inherits it, and
-        # concurrent service workers share one flock-guarded build.
-        _prebuild_datasets([job])
-        if self.isolation == "inline":
-            return _execute_job(job)
-        reports = _execute_pool([job], workers=1, timeout=self.timeout)
-        if not reports:  # pragma: no cover - defensive; pool always reports
-            raise ServeError(f"executor returned no report for {job.kernel}")
-        return reports[0]
+            try:
+                return self.runner(job)
+            except Exception as error:  # noqa: BLE001 — a worker must survive
+                return failure_report(job, error)
+        started = time.perf_counter()
+        try:
+            # Build (or warm-load) the corpus in this process first: with
+            # process isolation the forked worker inherits it, and
+            # concurrent service workers share one flock-guarded build.
+            ensure_corpus(scenario_spec(job.scenario, scale=job.scale,
+                                        seed=job.seed))
+            started = time.perf_counter()
+            report = (run_inline(job) if self.isolation == "inline"
+                      else run_in_process(job, self.timeout))
+        except Exception as error:  # noqa: BLE001 — e.g. a failed build
+            report = failure_report(job, error, time.perf_counter() - started)
+        record_lifecycle(job, report, queue_wait, started,
+                         time.perf_counter() - started)
+        return report
 
     # -- introspection -------------------------------------------------
 
@@ -543,13 +557,10 @@ class BenchService:
             ready = (self._started and not self._stopping
                      and alive > 0 and queued < self.max_queue)
         cache: dict = {}
-        store = self.store
-        if store is not None:
+        if self.store is not None:
             try:
-                if hasattr(store, "entries"):
-                    cache["entries"] = len(store.entries())
-                if hasattr(store, "total_bytes"):
-                    cache["bytes"] = store.total_bytes()
+                cache = {"entries": len(self.store.entries()),
+                         "bytes": self.store.total_bytes()}
             except OSError:  # a scrape must not fail on store races
                 cache = {}
         return {
@@ -569,6 +580,18 @@ def counter_total(exported: dict, name: str) -> float:
                if key == name or key.startswith(prefix))
 
 
-def plan_handles(service: BenchService, plan: ExecutionPlan) -> list[JobHandle]:
-    """Submit every job of a compiled plan; returns the handles."""
-    return [service.submit_job(job) for job in plan.jobs]
+def _prebuild_datasets(jobs: list[Job]) -> None:
+    """Build (or load) each distinct corpus once before the workers
+    start: forked workers inherit the in-memory corpus (and find the
+    disk artifact), so N workers never race one cold build.  A build
+    that fails is left for its jobs to hit again when they run, where
+    it ends as their own error reports."""
+    specs = {}
+    for job in jobs:
+        spec = scenario_spec(job.scenario, scale=job.scale, seed=job.seed)
+        specs.setdefault(spec.digest(), spec)
+    for spec in specs.values():
+        try:
+            ensure_corpus(spec)
+        except Exception:  # noqa: BLE001 — surfaces per job in _run
+            continue

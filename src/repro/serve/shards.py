@@ -1,13 +1,11 @@
-"""The sharded result store — the service's bounded report cache.
+"""The result store — the bounded on-disk report cache.
 
-:class:`~repro.harness.store.ResultStore` kept every cached report as a
-flat ``<digest>.json`` directly under ``benchmarks/results/cache/``.
-That layout has two production problems: a thousand-scenario sweep puts
-thousands of files in one directory, and nothing ever bounds on-disk
-growth.  :class:`ShardedResultStore` keeps the same ``load``/``save``
-interface (it *is* a ``ResultStore``, so ``execute_plan`` and the benches
-use it unchanged) but stores reports in digest-prefix shards with an
-on-disk LRU index and a configurable byte/entry budget::
+:class:`ShardedResultStore` is the one store of cached
+:class:`~repro.harness.runner.KernelReport`\\ s, keyed by
+:func:`~repro.harness.store.job_digest`.  Every job lookup and save goes
+through :class:`~repro.serve.service.BenchService`, so suite runs,
+sweeps and ``repro serve`` share it.  Reports live in digest-prefix
+shards with an on-disk LRU index and a configurable byte/entry budget::
 
     benchmarks/results/cache/
         index.json            # {"clock", "entries": {digest: {...}}}
@@ -29,10 +27,11 @@ on-disk LRU index and a configurable byte/entry budget::
   thread (``background_eviction=False`` makes it synchronous for
   deterministic tests).  ``serve.cache.evictions`` counts removals and
   ``serve.cache.bytes`` tracks the footprint.
-* **Migration** — on first use, flat entries from the old layout are
-  transparently moved into their shards (valid ones) or cleanly removed
-  (unreadable / incompatible-schema ones), so existing caches survive
-  the upgrade with no stale-path crashes.
+* **Failures and stale entries** — failed reports (``report.error``
+  set) are never cached, so a crash or timeout re-executes next time;
+  unreadable or other-schema entries read as misses, and ``gc`` removes
+  them along with leftover top-level ``<digest>.json`` files from the
+  old flat layout, which are never served.
 
 Cross-process safety mirrors the dataset ``ArtifactStore``: index
 read-modify-writes happen under an advisory ``flock`` (plus an
@@ -45,9 +44,11 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import tempfile
 import threading
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
@@ -57,13 +58,13 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
 from repro.harness.runner import SCHEMA_VERSION, KernelReport
-from repro.harness.store import ResultStore, job_digest, job_key
+from repro.harness.store import default_cache_dir, job_digest, job_key
 from repro.obs import metrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.executor import Job
 
-#: ``<digest>.json`` filenames eligible for shard migration / rebuild.
+#: ``<digest>.json`` filenames: shard entries (and flat-layout leftovers).
 _DIGEST_NAME = re.compile(r"^[0-9a-f]{16}\.json$")
 
 #: Index filename (lives next to the shards, never inside one).
@@ -111,9 +112,10 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-class ShardedResultStore(ResultStore):
-    """Digest-prefix-sharded, LRU-bounded :class:`ResultStore`.
+class ShardedResultStore:
+    """Digest-prefix-sharded, LRU-bounded on-disk report cache.
 
+    *root* of ``None`` means :func:`~repro.harness.store.default_cache_dir`.
     ``max_bytes`` / ``max_entries`` of ``None`` fall back to the
     ``$REPRO_CACHE_MAX_BYTES`` / ``$REPRO_CACHE_MAX_ENTRIES``
     environment knobs; both unset means unbounded (shards and the LRU
@@ -124,7 +126,7 @@ class ShardedResultStore(ResultStore):
                  max_bytes: int | None = None,
                  max_entries: int | None = None,
                  background_eviction: bool = True) -> None:
-        super().__init__(root)
+        self.root = Path(root) if root is not None else default_cache_dir()
         self.max_bytes = (max_bytes if max_bytes is not None
                           else _env_int("REPRO_CACHE_MAX_BYTES"))
         self.max_entries = (max_entries if max_entries is not None
@@ -133,7 +135,6 @@ class ShardedResultStore(ResultStore):
         self._mutex = threading.Lock()
         self._bg_lock = threading.Lock()
         self._evictor: threading.Thread | None = None
-        self._opened = False
 
     # -- paths ---------------------------------------------------------
 
@@ -187,15 +188,24 @@ class ShardedResultStore(ResultStore):
         return index
 
     @staticmethod
-    def _entry_meta(path: Path) -> dict | None:
-        """Index metadata for an entry file, or ``None`` if the file is
-        not a compatible cached report."""
+    def _payload(path: Path) -> dict | None:
+        """The parsed entry file at *path*, or ``None`` when it is
+        absent, unreadable, or written by a different report schema."""
         try:
             payload = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
         if (not isinstance(payload, dict)
                 or payload.get("schema_version") != SCHEMA_VERSION):
+            return None
+        return payload
+
+    @classmethod
+    def _entry_meta(cls, path: Path) -> dict | None:
+        """Index metadata for an entry file, or ``None`` if the file is
+        not a compatible cached report."""
+        payload = cls._payload(path)
+        if payload is None:
             return None
         job = payload.get("job") or {}
         return {
@@ -217,49 +227,21 @@ class ShardedResultStore(ResultStore):
                 meta.get("bytes", 0) for meta in index["entries"].values()
             )))
 
-    # -- flat-layout migration -----------------------------------------
-
-    def _ensure_open(self) -> None:
-        """One-time (per instance) migration of flat-layout entries.
-
-        Valid flat ``<digest>.json`` reports move into their shard and
-        join the index; unreadable or schema-incompatible ones are
-        removed (cleanly invalidated) so no stale path is ever served.
-        """
-        if self._opened:
-            return
-        self._opened = True
-        if not self.root.is_dir():
-            return
-        flat = [entry for entry in self.root.glob("*.json")
-                if entry.name != INDEX_NAME]
-        if not flat:
-            return
-        with self._index() as index:
-            for entry in flat:
-                meta = (self._entry_meta(entry)
-                        if _DIGEST_NAME.match(entry.name) else None)
-                if meta is None:
-                    entry.unlink(missing_ok=True)
-                    metrics.counter("serve.cache.migrated",
-                                    outcome="invalidated").inc()
-                    continue
-                target = self.shard_path(entry.stem)
-                target.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(entry, target)
-                index["clock"] += 1
-                meta["used"] = index["clock"]
-                index["entries"][entry.stem] = meta
-                metrics.counter("serve.cache.migrated",
-                                outcome="moved").inc()
-
     # -- load / save ----------------------------------------------------
 
     def load(self, job: "Job") -> KernelReport | None:
-        self._ensure_open()
-        report = super().load(job)
-        if report is not None:
-            self._touch(job_digest(job))
+        """The cached report for *job* (bumping its LRU position), or
+        ``None`` on any miss: absent, unreadable, another schema, or a
+        failure record."""
+        digest = job_digest(job)
+        payload = self._payload(self.shard_path(digest))
+        record = payload.get("report") if payload is not None else None
+        if not isinstance(record, dict) or "kernel" not in record:
+            return None
+        report = KernelReport.from_dict(record)
+        if report.error is not None:
+            return None
+        self._touch(digest)
         return report
 
     def _touch(self, digest: str) -> None:
@@ -274,19 +256,19 @@ class ShardedResultStore(ResultStore):
             meta["used"] = index["clock"]
 
     def save(self, job: "Job", report: KernelReport) -> Path | None:
+        """Cache *report* under *job*'s digest (no-op for failures)."""
         if report.error is not None:
             return None
-        self._ensure_open()
         digest = job_digest(job)
         path = self.shard_path(digest)
+        key = job_key(job)
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "job": job_key(job),
-            "report": self._report_payload(report),
+            "job": key,
+            "report": asdict(report),
         }
         _atomic_write_text(path, json.dumps(payload, indent=2,
                                             sort_keys=True))
-        key = job_key(job)
         with self._index() as index:
             index["clock"] += 1
             index["entries"][digest] = {
@@ -299,12 +281,6 @@ class ShardedResultStore(ResultStore):
             }
         self._maybe_evict()
         return path
-
-    @staticmethod
-    def _report_payload(report: KernelReport) -> dict:
-        from dataclasses import asdict
-
-        return asdict(report)
 
     # -- budget / eviction ---------------------------------------------
 
@@ -360,14 +336,12 @@ class ShardedResultStore(ResultStore):
     # -- maintenance (repro cache {list,gc}) ----------------------------
 
     def total_bytes(self) -> int:
-        self._ensure_open()
         with self._index() as index:
             return sum(meta.get("bytes", 0)
                        for meta in index["entries"].values())
 
     def entries(self) -> list[dict]:
         """Index metadata for every cached report, most recent first."""
-        self._ensure_open()
         with self._index() as index:
             found = [{"digest": digest, **meta}
                      for digest, meta in index["entries"].items()]
@@ -378,12 +352,12 @@ class ShardedResultStore(ResultStore):
         """Remove unservable entries and enforce the budget; returns
         ``(entries, bytes)`` removed.
 
-        Unservable means unreadable or written by a different report
-        schema.  Orphan files (on disk but unindexed) are adopted into
+        Unservable means unreadable, written by a different report
+        schema, or a top-level ``<digest>.json`` left by the old flat
+        layout.  Orphan files (on disk but unindexed) are adopted into
         the index; orphan index rows (no file) are dropped.
         ``everything=True`` clears the store.
         """
-        self._ensure_open()
         if everything:
             freed = self.total_bytes()
             return self.clear(), freed
@@ -395,6 +369,11 @@ class ShardedResultStore(ResultStore):
             for digest in list(entries):
                 if digest not in on_disk:
                     del entries[digest]
+            for path in self.root.glob("*.json"):
+                if _DIGEST_NAME.match(path.name):  # flat-layout leftover
+                    freed += path.stat().st_size
+                    path.unlink(missing_ok=True)
+                    removed += 1
             for digest, path in on_disk.items():
                 meta = self._entry_meta(path)
                 if meta is None:  # stale schema / corrupt: unservable
@@ -412,8 +391,6 @@ class ShardedResultStore(ResultStore):
     def clear(self) -> int:
         """Delete every cached report (and the index); returns the
         number of entries removed."""
-        import shutil
-
         removed = 0
         if not self.root.is_dir():
             return removed

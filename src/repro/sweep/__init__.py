@@ -1,8 +1,9 @@
 """The sweep layer: run the scenario matrix as one gated grid.
 
 :mod:`repro.sweep.driver` compiles a manifest's cells × kernels × scales
-× seeds into executor jobs and runs them (pool, service, or test
-runner); :mod:`repro.sweep.gates` holds the paper-shape assertions
+× seeds into executor jobs and runs them through a
+:class:`~repro.serve.BenchService` (a running one, or a transient one
+via ``execute_jobs``); :mod:`repro.sweep.gates` holds the paper-shape assertions
 applied to every ``fidelity = "paper"`` cell.  The companion
 :mod:`repro.analysis.aggregate` turns a :class:`SweepResult` into
 summary tables and cross-kernel leaderboards; ``repro sweep`` is the

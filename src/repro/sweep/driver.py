@@ -10,16 +10,12 @@ kernel or study fails before anything runs.  Cells the manifest flags
 gates need (:mod:`repro.sweep.gates`), and every paper-cell report is
 gate-checked when results come back.
 
-``run_sweep`` dispatches the grid three ways:
-
-* through :func:`~repro.harness.executor.execute_jobs` (the default) —
-  the same failure-isolated pool, result cache, and per-job timeouts
-  ``repro run`` uses;
-* through a running :class:`~repro.serve.BenchService` (``service=``) —
-  submissions coalesce and share the service's cache, so a sweep and
-  interactive clients dedupe against each other;
-* through a ``runner`` callable (``Job -> KernelReport``) — the test
-  hook, mirroring :class:`BenchService`'s.
+``run_sweep`` submits the grid to a :class:`~repro.serve.BenchService`:
+a running one when given (``service=``) — submissions then coalesce and
+share its cache, so a sweep and interactive clients dedupe against each
+other — or otherwise a transient one through
+:func:`~repro.harness.executor.execute_jobs`, the same result cache,
+process isolation and per-job timeouts ``repro run`` uses.
 
 The result is a flat list of :class:`CellResult`\\ s — one per grid
 point, each carrying its report, its origin (``executed`` / ``cached`` /
@@ -35,7 +31,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.data.manifest import Manifest, install_manifest, resolve_manifest
 from repro.errors import SweepError
@@ -54,8 +50,8 @@ from repro.sweep.gates import check_paper_gates, gate_studies
 from repro.uarch.cache import MACHINE_B, CacheConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.harness.store import ResultStore
     from repro.serve.service import BenchService
+    from repro.serve.shards import ShardedResultStore
 
 
 @dataclass(frozen=True)
@@ -251,8 +247,6 @@ def _fidelity(plan: SweepPlan, index: int) -> str:
 def _results_from_outcomes(
     plan: SweepPlan, outcomes: "list[JobOutcome]"
 ) -> list[CellResult]:
-    # execute_jobs drops outcomes only for jobs it never produced a
-    # report for (it doesn't today); align defensively by position.
     results = []
     for index, outcome in enumerate(outcomes):
         job = outcome.job
@@ -297,46 +291,29 @@ def run_sweep(
     workers: int = 1,
     timeout: "float | None" = None,
     reuse: bool = True,
-    store: "ResultStore | None" = None,
+    store: "ShardedResultStore | None" = None,
     service: "BenchService | None" = None,
-    runner: "Callable[[Job], KernelReport] | None" = None,
 ) -> SweepResult:
     """Run every job of *plan* and return gate-checked cell results.
 
-    Exactly one execution path applies: *runner* (test hook) wins over
-    *service* (submit through a :class:`BenchService`, sharing its
-    coalescing and cache) which wins over the default executor path
-    (:func:`execute_jobs` with *workers*/*timeout*/*reuse*/*store*).
+    With *service*, the jobs are submitted to that running
+    :class:`BenchService` (sharing its coalescing and cache; *timeout*
+    bounds each wait).  Otherwise :func:`execute_jobs` runs them with
+    *workers*/*timeout*/*reuse*/*store*.
     """
     started = time.monotonic()
     with trace.timed_span(f"sweep/{plan.manifest.name}",
                           {"grid_points": len(plan)}):
-        if runner is not None:
-            outcomes = [JobOutcome(job=job, report=runner(job),
-                                   origin=EXECUTED)
-                        for job in plan.jobs]
-            results = _results_from_outcomes(plan, outcomes)
-        elif service is not None:
+        if service is not None:
             handles = [service.submit_job(job) for job in plan.jobs]
-            results = []
-            for index, handle in enumerate(handles):
-                report = handle.wait(timeout=timeout)
-                results.append(CellResult(
-                    scenario=handle.job.scenario,
-                    kernel=handle.job.kernel,
-                    scale=handle.job.scale,
-                    seed=handle.job.seed,
-                    fidelity=_fidelity(plan, index),
-                    origin=handle.origin or EXECUTED,
-                    report=report,
-                    gate_violations=_gate_check(plan, index, report),
-                    backend=handle.job.backend,
-                ))
+            outcomes = [JobOutcome(job=job, report=handle.wait(timeout),
+                                   origin=handle.origin)
+                        for job, handle in zip(plan.jobs, handles)]
         else:
             outcomes = execute_jobs(plan.jobs, workers=workers,
                                     timeout=timeout, reuse=reuse,
                                     store=store)
-            results = _results_from_outcomes(plan, outcomes)
+        results = _results_from_outcomes(plan, outcomes)
     _record_sweep_metrics(plan, results, time.monotonic() - started)
     return SweepResult(
         manifest_name=plan.manifest.name,

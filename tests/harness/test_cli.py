@@ -301,3 +301,72 @@ class TestObsCli:
         snap = json.loads(out.read_text())
         assert snap["schema"] == 1
         assert "kernel.runs{backend=vectorized,kernel=fake-ok}" in snap["metrics"]["counters"]
+
+
+def _subparser(parser, path):
+    """The (nested) subcommand parser at *path*, e.g. ("serve", "up")."""
+    for name in path:
+        action = next(a for a in parser._actions
+                      if a.__class__.__name__ == "_SubParsersAction")
+        parser = action.choices[name]
+    return parser
+
+
+def _option_choices(parser, flag):
+    action = next(a for a in parser._actions if flag in a.option_strings)
+    return sorted(action.choices) if action.choices is not None else None
+
+
+#: argv, then the parsed default of each dataset/machine/backend option
+#: the subcommand has; options a subcommand lacks must stay absent.
+_GROUP_DESTS = ("scale", "seed", "scenario", "machine", "backend",
+                "backends")
+_CLI_DEFAULTS = [
+    (["run"], {"scale": 1.0, "seed": 0, "scenario": "default",
+               "machine": "B", "backend": None}),
+    (["trace", "tc"], {"scale": 1.0, "seed": 0, "scenario": "default",
+                       "machine": "B"}),
+    (["validate"], {"scale": 0.5, "seed": 0, "scenario": "default"}),
+    (["data", "build"], {"scale": 1.0, "seed": 0,
+                         "scenario": ["default"]}),
+    (["serve", "submit", "tc"], {"scale": 1.0, "seed": 0,
+                                 "scenario": "default", "machine": "B",
+                                 "backend": None}),
+    (["serve", "bench"], {"scale": 0.05, "seed": 0}),
+    (["serve", "up"], {"scale": 0.05, "seed": 0, "scenario": "default",
+                       "machine": "B"}),
+    (["serve", "trace", "tc"], {"scale": 0.25, "seed": 0,
+                                "scenario": "default", "machine": "B"}),
+    (["sweep", "run", "--kernels", "tc"], {"machine": "B",
+                                           "backends": None}),
+]
+
+
+class TestSharedOptionGroup:
+    """Pins every subcommand's dataset/machine/backend option defaults
+    and choices, so sharing the option group cannot drift them."""
+
+    @pytest.mark.parametrize("argv,expected", _CLI_DEFAULTS,
+                             ids=[" ".join(a[:2]) for a, _ in _CLI_DEFAULTS])
+    def test_parsed_defaults(self, argv, expected):
+        args = vars(build_parser().parse_args(argv))
+        present = {dest: args[dest] for dest in _GROUP_DESTS if dest in args}
+        assert present == expected
+
+    @pytest.mark.parametrize("argv,expected", _CLI_DEFAULTS,
+                             ids=[" ".join(a[:2]) for a, _ in _CLI_DEFAULTS])
+    def test_choices(self, argv, expected):
+        from repro.data import scenario_names
+        from repro.kernels import BACKENDS
+
+        path = [token for token in argv if not token.startswith("-")]
+        path = path[:2] if argv[0] in ("data", "serve", "sweep") else path[:1]
+        parser = _subparser(build_parser(), path)
+        want = {"--scale": None, "--seed": None,
+                "--scenario": sorted(scenario_names()),
+                "--machine": ["A", "B"], "--backend": sorted(BACKENDS)}
+        if "backends" in expected:
+            want["--backend"] = None  # free-form comma lists
+        for dest in expected:
+            flag = "--backend" if dest == "backends" else f"--{dest}"
+            assert _option_choices(parser, flag) == want[flag], flag

@@ -8,14 +8,15 @@ from fakes import CrashKernel, OkKernel
 from repro.errors import KernelError
 from repro.harness.executor import (
     CACHED,
+    COALESCED,
     EXECUTED,
     Job,
     compile_plan,
     execute_jobs,
-    execute_plan,
+    run_in_process,
 )
 from repro.harness.runner import run_suite
-from repro.harness.store import ResultStore
+from repro.serve.shards import ShardedResultStore
 from repro.obs import trace
 from repro.obs.spans import Tracer
 from repro.uarch.cache import MACHINE_A, MACHINE_B
@@ -100,7 +101,7 @@ class TestParallelDispatch:
     def test_bad_job_count_rejected(self):
         plan = compile_plan(("gbwt",))
         with pytest.raises(KernelError):
-            execute_plan(plan, jobs=0)
+            execute_jobs(plan.jobs, workers=0)
 
 
 class TestExecutorObservability:
@@ -174,23 +175,18 @@ class TestSpanSpool:
 
     def test_spool_files_removed_after_success(self, fake_kernels,
                                                tmp_path):
-        from repro.harness.executor import _execute_pool
-
-        reports = _execute_pool([self.job()], workers=2, timeout=None,
-                                spool_dir=tmp_path)
-        assert reports[0].ok
+        report = run_in_process(self.job(), spool_dir=tmp_path)
+        assert report.ok
         # Spans shipped with the report; the crash-recovery spool has
         # served its purpose and must not accumulate on disk.
         assert list(tmp_path.iterdir()) == []
 
     def test_spool_recovered_then_removed_on_timeout(self, fake_kernels,
                                                      tmp_path):
-        from repro.harness.executor import _execute_pool
-
-        reports = _execute_pool([self.job("fake-hang")], workers=2,
-                                timeout=1.0, spool_dir=tmp_path)
-        assert "Timeout" in reports[0].error
-        names = {r["name"] for r in reports[0].spans}
+        report = run_in_process(self.job("fake-hang"), timeout=1.0,
+                                spool_dir=tmp_path)
+        assert "Timeout" in report.error
+        names = {r["name"] for r in report.spans}
         assert "kernel/fake-hang/prepare" in names
         assert list(tmp_path.iterdir()) == []
 
@@ -219,7 +215,7 @@ class TestSpanSpool:
 
 class TestReuse:
     def test_second_run_executes_no_kernel(self, fake_kernels, tmp_path):
-        store = ResultStore(tmp_path)
+        store = ShardedResultStore(tmp_path)
         first = run_suite(("fake-ok",), studies=("timing",), reuse=True,
                           store=store)
         assert OkKernel.executions == 1
@@ -229,7 +225,7 @@ class TestReuse:
         assert second["fake-ok"] == first["fake-ok"]
 
     def test_different_parameters_miss(self, fake_kernels, tmp_path):
-        store = ResultStore(tmp_path)
+        store = ShardedResultStore(tmp_path)
         run_suite(("fake-ok",), studies=("timing",), seed=0, reuse=True,
                   store=store)
         run_suite(("fake-ok",), studies=("timing",), seed=1, reuse=True,
@@ -237,14 +233,14 @@ class TestReuse:
         assert OkKernel.executions == 2
 
     def test_failures_are_not_cached(self, fake_kernels, tmp_path):
-        store = ResultStore(tmp_path)
+        store = ShardedResultStore(tmp_path)
         run_suite(("fake-crash",), reuse=True, store=store)
         assert CrashKernel.executions == 1
         run_suite(("fake-crash",), reuse=True, store=store)
         assert CrashKernel.executions == 2  # re-executed, not served
 
     def test_reuse_off_always_executes(self, fake_kernels, tmp_path):
-        store = ResultStore(tmp_path)
+        store = ShardedResultStore(tmp_path)
         run_suite(("fake-ok",), reuse=True, store=store)
         run_suite(("fake-ok",), reuse=False, store=store)
         assert OkKernel.executions == 2
@@ -268,8 +264,37 @@ class TestExecuteJobs:
             assert outcome.report.kernel == "fake-ok"
             assert outcome.report.ok
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_duplicates_in_a_batch_run_once(self, fake_kernels, workers):
+        jobs = (self.job(), self.job(seed=1), self.job())
+        outcomes = execute_jobs(jobs, workers=workers, reuse=False)
+        assert [o.origin for o in outcomes] == [EXECUTED, EXECUTED,
+                                                COALESCED]
+        assert outcomes[2].report is outcomes[0].report
+        if workers == 1:  # in-process: the counter is visible here
+            assert OkKernel.executions == 2
+
+    def test_serial_batch_runs_in_submission_order(self, fake_kernels,
+                                                   monkeypatch):
+        seen = []
+        original = OkKernel._execute
+
+        def recording(kernel, probe):
+            seen.append(kernel.seed)
+            return original(kernel, probe)
+
+        monkeypatch.setattr(OkKernel, "_execute", recording)
+        outcomes = execute_jobs([self.job(seed=seed) for seed in (3, 1, 2)])
+        assert seen == [3, 1, 2]
+        assert [o.report.seed for o in outcomes] == [3, 1, 2]
+        # Inline executions carry the executor lifecycle series too.
+        for outcome in outcomes:
+            gauges = outcome.report.metrics["gauges"]
+            assert gauges["executor.wall_seconds{kernel=fake-ok}"] > 0
+            assert "executor.queue_wait_seconds{kernel=fake-ok}" in gauges
+
     def test_origin_tracks_the_result_cache(self, fake_kernels, tmp_path):
-        store = ResultStore(tmp_path)
+        store = ShardedResultStore(tmp_path)
         cold = execute_jobs((self.job(),), reuse=True, store=store)
         assert [o.origin for o in cold] == [EXECUTED]
         warm = execute_jobs((self.job(),), reuse=True, store=store)

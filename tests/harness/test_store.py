@@ -4,7 +4,8 @@ import json
 
 from repro.harness.executor import Job
 from repro.harness.runner import SCHEMA_VERSION, KernelReport
-from repro.harness.store import ResultStore, job_digest
+from repro.harness.store import job_digest
+from repro.serve.shards import ShardedResultStore
 from repro.uarch.cache import MACHINE_A, MACHINE_B
 
 
@@ -66,7 +67,7 @@ class TestDigest:
 
 class TestStore:
     def test_roundtrip(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = ShardedResultStore(tmp_path)
         job = _job()
         report = KernelReport(kernel="gbwt", wall_seconds=1.5,
                               inputs_processed=10, work={"w": 2.0},
@@ -76,17 +77,17 @@ class TestStore:
         assert store.load(job) == report
 
     def test_miss_when_absent(self, tmp_path):
-        assert ResultStore(tmp_path).load(_job()) is None
+        assert ShardedResultStore(tmp_path).load(_job()) is None
 
     def test_miss_on_corrupt_file(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = ShardedResultStore(tmp_path)
         job = _job()
         store.save(job, KernelReport(kernel="gbwt"))
         store.path(job).write_text("not json {")
         assert store.load(job) is None
 
     def test_miss_on_other_schema_version(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = ShardedResultStore(tmp_path)
         job = _job()
         store.save(job, KernelReport(kernel="gbwt"))
         payload = json.loads(store.path(job).read_text())
@@ -97,7 +98,7 @@ class TestStore:
     def test_unknown_report_fields_ignored(self, tmp_path):
         """Forward compatibility: a report written by newer code with
         extra fields still loads."""
-        store = ResultStore(tmp_path)
+        store = ShardedResultStore(tmp_path)
         job = _job()
         store.save(job, KernelReport(kernel="gbwt", inputs_processed=5))
         payload = json.loads(store.path(job).read_text())
@@ -108,13 +109,13 @@ class TestStore:
         assert loaded.inputs_processed == 5
 
     def test_error_reports_never_stored(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = ShardedResultStore(tmp_path)
         job = _job()
         assert store.save(job, KernelReport(kernel="gbwt", error="boom")) is None
         assert store.load(job) is None
 
     def test_clear(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = ShardedResultStore(tmp_path)
         store.save(_job(), KernelReport(kernel="gbwt"))
         store.save(_job(seed=1), KernelReport(kernel="gbwt"))
         assert store.clear() == 2
@@ -122,5 +123,5 @@ class TestStore:
 
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))
-        store = ResultStore()
+        store = ShardedResultStore()
         assert store.root == tmp_path / "alt"

@@ -1,16 +1,14 @@
-"""ShardedResultStore: layout, migration, LRU eviction, budgets, gc."""
+"""ShardedResultStore: layout, LRU eviction, budgets, gc."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 from serveutil import make_job, ok_report
 
-from repro.harness.store import (
-    ResultStore,
-    default_result_store,
-    job_digest,
-)
+from repro.harness.store import default_result_store, job_digest
+from repro.harness.runner import SCHEMA_VERSION
 from repro.obs import metrics as obs_metrics
 from repro.serve.shards import ShardedResultStore
 
@@ -57,49 +55,6 @@ class TestShardedLayout:
         assert store.clear() == 3
         assert not (tmp_path / "index.json").exists()
         assert not any(tmp_path.glob("??/*.json"))
-        assert store.entries() == []
-
-
-class TestFlatMigration:
-    def test_valid_flat_entries_move_into_shards(self, tmp_path):
-        # Seed the old layout with the pre-shard store implementation.
-        flat = ResultStore(tmp_path)
-        jobs = [make_job(seed=seed) for seed in range(3)]
-        for job in jobs:
-            flat.save(job, ok_report(job))
-        assert len(list(tmp_path.glob("*.json"))) == 3
-
-        registry = obs_metrics.MetricsRegistry()
-        with obs_metrics.use(registry):
-            store = ShardedResultStore(tmp_path)
-            for job in jobs:  # every migrated report is still served
-                assert store.load(job) is not None
-        # No flat entries remain (only the index), all live in shards.
-        assert {p.name for p in tmp_path.glob("*.json")} == {"index.json"}
-        for job in jobs:
-            assert store.path(job).is_file()
-        moved = registry.as_dict()["counters"][
-            "serve.cache.migrated{outcome=moved}"]
-        assert moved == 3
-
-    def test_unservable_flat_entries_are_cleanly_invalidated(self, tmp_path):
-        corrupt = tmp_path / "deadbeefdeadbeef.json"
-        corrupt.write_text("{not json")
-        stale = tmp_path / "feedfacefeedface.json"
-        stale.write_text(json.dumps({"schema_version": -1, "report": {}}))
-        foreign = tmp_path / "notes.json"
-        foreign.write_text("{}")
-
-        registry = obs_metrics.MetricsRegistry()
-        with obs_metrics.use(registry):
-            store = ShardedResultStore(tmp_path)
-            assert store.load(make_job()) is None  # no stale-path crash
-        assert not corrupt.exists()
-        assert not stale.exists()
-        assert not foreign.exists()
-        invalidated = registry.as_dict()["counters"][
-            "serve.cache.migrated{outcome=invalidated}"]
-        assert invalidated == 3
         assert store.entries() == []
 
 
@@ -210,6 +165,23 @@ class TestGC:
         assert job_digest(jobs[1]) in digests
         assert job_digest(orphan_job) in digests    # orphan file adopted
         assert store.load(orphan_job) is not None
+
+    def test_gc_removes_flat_layout_leftovers(self, tmp_path):
+        """Top-level ``<digest>.json`` files from the old flat layout are
+        never served, and gc removes them as unservable."""
+        store = ShardedResultStore(tmp_path)
+        job = make_job(seed=3)
+        valid = tmp_path / f"{job_digest(job)}.json"
+        valid.write_text(json.dumps({
+            "schema_version": SCHEMA_VERSION, "job": {},
+            "report": asdict(ok_report(job))}))
+        corrupt = tmp_path / "deadbeefdeadbeef.json"
+        corrupt.write_text("{not json")
+        assert store.load(job) is None  # no stale-path hit, no crash
+        removed, freed = store.gc()
+        assert removed == 2 and freed > 0
+        assert {p.name for p in tmp_path.glob("*.json")} <= {"index.json"}
+        assert store.entries() == []
 
     def test_gc_everything_clears_the_store(self, tmp_path):
         store = ShardedResultStore(tmp_path)

@@ -4,11 +4,10 @@ import json
 
 import pytest
 
-from repro.data import loads_manifest, scenario_spec
+from repro.data import ArtifactStore, loads_manifest, scenario_spec, use_store
 from repro.errors import KernelError, SweepError
 from repro.harness.runner import KernelReport
-from repro.harness.store import ResultStore
-from repro.serve import BenchService
+from repro.serve import BenchService, ShardedResultStore
 from repro.sweep import (
     SWEEP_FILE,
     compile_sweep,
@@ -50,6 +49,14 @@ def ok_runner(job):
         seed=job.seed, wall_seconds=0.5, inputs_processed=7,
         ipc=1.5, topdown=dict(GOOD_TOPDOWN),
     )
+
+
+def sweep_with(plan, runner):
+    """Run *plan* through a service whose engine is replaced by
+    *runner* (the service's one substitution point)."""
+    with BenchService(workers=1, isolation="inline", reuse=False,
+                      runner=runner) as service:
+        return run_sweep(plan, service=service)
 
 
 class TestCompile:
@@ -148,7 +155,7 @@ class TestBackendAxis:
     def test_results_and_roundtrip_carry_backend(self, tmp_path):
         plan = compile_sweep(mini(), kernels=("tc",), cells=("p4-d1",),
                              backends=("scalar", "vectorized"))
-        sweep = run_sweep(plan, runner=ok_runner)
+        sweep = sweep_with(plan, ok_runner)
         assert sweep.metadata["backends"] == ["scalar", "vectorized"]
         assert ({r.backend for r in sweep.results}
                 == {"scalar", "vectorized"})
@@ -161,7 +168,7 @@ class TestBackendAxis:
 class TestRunnerPath:
     def test_runner_results_and_fidelity(self):
         plan = compile_sweep(mini(), kernels=("tc",))
-        sweep = run_sweep(plan, runner=ok_runner)
+        sweep = sweep_with(plan, ok_runner)
         assert len(sweep) == 4
         assert sweep.errors == []
         assert sweep.gate_failures == []
@@ -178,7 +185,7 @@ class TestRunnerPath:
         scoped = obs_metrics.MetricsRegistry()
         plan = compile_sweep(mini(), kernels=("tc",))
         with obs_metrics.use(scoped):
-            run_sweep(plan, runner=ok_runner)
+            sweep_with(plan, ok_runner)
         exported = scoped.as_dict()
         counters = exported["counters"]
         assert counters[
@@ -201,7 +208,7 @@ class TestRunnerPath:
         scoped = obs_metrics.MetricsRegistry()
         plan = compile_sweep(mini(), kernels=("tc",))
         with obs_metrics.use(scoped):
-            run_sweep(plan, runner=flaky)
+            sweep_with(plan, flaky)
         counters = scoped.as_dict()["counters"]
         assert counters[
             "sweep.errors{kernel=tc,manifest=mini-sweep}"] == 1.0
@@ -213,7 +220,7 @@ class TestRunnerPath:
         tracer = Tracer()
         plan = compile_sweep(mini(), kernels=("tc",))
         with trace.use(tracer):
-            run_sweep(plan, runner=ok_runner)
+            sweep_with(plan, ok_runner)
         root = next(r for r in tracer.records()
                     if r["name"] == "sweep/mini-sweep")
         assert root["attrs"]["grid_points"] == 4
@@ -223,7 +230,7 @@ class TestRunnerPath:
             return KernelReport(kernel=job.kernel, scenario=job.scenario,
                                 inputs_processed=3)
         plan = compile_sweep(mini(), kernels=("tc",))
-        sweep = run_sweep(plan, runner=no_topdown)
+        sweep = sweep_with(plan, no_topdown)
         failing = {r.scenario for r in sweep.gate_failures}
         assert failing == {"p8-d1"}
         bench = next(r for r in sweep.results if r.scenario == "p4-d2")
@@ -235,7 +242,7 @@ class TestRunnerPath:
             return KernelReport(kernel=job.kernel, scenario=job.scenario,
                                 error="KernelError: boom")
         plan = compile_sweep(mini(), kernels=("tc",), cells=("p4-d2",))
-        sweep = run_sweep(plan, runner=crash)
+        sweep = sweep_with(plan, crash)
         assert len(sweep.errors) == 1
         assert not sweep.results[0].ok
 
@@ -256,10 +263,42 @@ class TestServicePath:
         assert {r.scenario for r in paper} == {"p8-d1"}
 
 
+class TestCorpusBuildFailure:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_build_is_a_per_cell_error_report(
+        self, tmp_path, monkeypatch, workers
+    ):
+        """A corpus build that raises ends as a structured ``error``
+        report on that cell's points only; the rest of the grid runs."""
+        import repro.data.store as data_store
+
+        real_build = data_store.build_corpus
+
+        def build(spec):
+            if spec.scenario == "p4-d2":
+                raise RuntimeError("corpus build failed")
+            return real_build(spec)
+
+        monkeypatch.setattr(data_store, "build_corpus", build)
+        plan = compile_sweep(mini(), kernels=("tsu", "gbwt"),
+                             cells=("p4-d1", "p4-d2"), scales=(0.05,))
+        with use_store(ArtifactStore(tmp_path)):
+            sweep = run_sweep(plan, workers=workers, reuse=False)
+        assert len(sweep) == 4
+        for result in sweep.results:
+            if result.scenario == "p4-d2":
+                assert (result.report.error
+                        == "RuntimeError: corpus build failed")
+                assert result.report.backend == result.backend
+                assert result.report.backend in ("gpu", "vectorized")
+            else:
+                assert result.report.ok, result.report.error
+
+
 class TestPersistence:
     def make_sweep(self):
         plan = compile_sweep(mini(), kernels=("tc",))
-        return run_sweep(plan, runner=ok_runner)
+        return sweep_with(plan, ok_runner)
 
     def test_round_trip(self, tmp_path):
         sweep = self.make_sweep()
@@ -310,7 +349,7 @@ class TestExecutorIntegration:
         plan = compile_sweep("suite", kernels=("tsu",), scales=(0.25,),
                              cells=("default",))
         assert plan.jobs[0].studies == ("timing", "gpu")
-        store = ResultStore(tmp_path / "cache")
+        store = ShardedResultStore(tmp_path / "cache")
         cold = run_sweep(plan, store=store)
         assert cold.errors == []
         assert cold.gate_failures == []

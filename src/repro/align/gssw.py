@@ -19,10 +19,12 @@ The paper's two key GSSW observations are both modelled here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.align.scoring import AffineScoring, VG_DEFAULT
+from repro.align.smith_waterman import lazy_f, lazy_f_trace
 from repro.backends import (
     SCALAR,
     VECTORIZED,
@@ -161,7 +163,6 @@ class GSSW:
             report_backend_fallback("gssw", requested=VECTORIZED,
                                     actual=SCALAR,
                                     reason="scoring-incompatible")
-        self._scan_steps = np.arange(self.segment_length + 1, dtype=np.int64)[:, None]
 
     def _build_profile(self) -> dict[str, np.ndarray]:
         seg = self.segment_length
@@ -181,184 +182,10 @@ class GSSW:
     def align(self, graph: SequenceGraph) -> GraphAlignmentResult:
         """Local-align the query to an acyclic *graph*.
 
-        The batched path computes every column with a max-plus prefix
-        scan and accumulates probe events per :meth:`align` call so the
-        trace machine sees a few large blocks instead of thousands of
-        tiny ones.  Addresses, op totals, branch streams and results are
-        identical to the scalar reference; only the block interleaving
-        differs (covered by the 1.6.0 result-store version bump).
+        A batch of one: see :func:`align_batch`, whose results and probe
+        stream equal those of aligning each pair alone.
         """
-        if self.vectorize:
-            return self._align_batched(graph)
-        return self._align_reference(graph)
-
-    def _align_batched(self, graph: SequenceGraph) -> GraphAlignmentResult:
-        order = topological_sort(graph)
-        seg = self.segment_length
-        probe = self.probe
-        open_cost = self.scoring.gap_open + self.scoring.gap_extend
-        extend_cost = self.scoring.gap_extend
-        word_bytes = self._word_bytes
-        region = seg * word_bytes
-        touch_full = region // 64
-        touch_tail = region - touch_full * 64
-        touch_lines = 64 * np.arange(touch_full, dtype=np.int64)
-
-        final_h: dict[int, np.ndarray] = {}
-        final_e: dict[int, np.ndarray] = {}
-        matrix_base: dict[int, int] = {}
-        best = 0
-        best_node = best_offset = best_q = 0
-        cells = 0
-        columns = 0
-        merge_alu = 0
-        improved_flags: list[bool] = []
-        lazyf_branches: list[bool] = []
-        lazyf_alu = [0]
-        adj_addrs: list[int] = []
-        touch_line_blocks: list[np.ndarray] = []
-        touch_tail_addrs: list[int] = []
-        seq_blocks: list[np.ndarray] = []
-        store_blocks: list[np.ndarray] = []
-
-        for node_id in order:
-            node = graph.node(node_id)
-            parents = graph.predecessors(node_id)
-            if parents:
-                adj_addrs.append(self._graph_base + node_id * 64)
-                h_cols = []
-                e_cols = []
-                for parent in parents:
-                    base = matrix_base[parent]
-                    if touch_full:
-                        touch_line_blocks.append(base + touch_lines)
-                    if touch_tail > 0:
-                        touch_tail_addrs.append(base + touch_full * 64)
-                    h_cols.append(final_h[parent])
-                    e_cols.append(final_e[parent])
-                h_prev = np.maximum.reduce(h_cols)
-                e_prev = np.maximum.reduce(e_cols)
-                merge_alu += 2 * len(parents) * seg
-            else:
-                h_prev = np.zeros((seg, self.lanes), dtype=np.int64)
-                e_prev = np.full((seg, self.lanes), _NEG_INF, dtype=np.int64)
-            base_address = self._space.alloc(len(node) * seg * self._word_bytes)
-            matrix_base[node_id] = base_address
-
-            h_store = h_prev
-            e = e_prev
-            sequence_base = self._space.alloc(len(node))
-            seq_blocks.append(sequence_base + np.arange(len(node), dtype=np.int64))
-            row_stride = len(node) * self.LANE_BYTES
-            swizzle_rows = base_address + self._swizzle_positions * row_stride
-            if self.store_full_matrix and len(node):
-                offsets = self.LANE_BYTES * np.arange(len(node), dtype=np.int64)
-                store_blocks.append(
-                    np.add.outer(offsets, swizzle_rows).ravel()
-                )
-            for offset, base in enumerate(node.sequence):
-                h_store, e = self._column_vec(
-                    h_store, e, self._profile.get(base, self._profile["A"]),
-                    open_cost, extend_cost,
-                    lazyf_branches=lazyf_branches,
-                    lazyf_alu=lazyf_alu,
-                )
-                cells += len(self.query)
-                columns += 1
-                column_best = int(h_store.max())
-                improved = column_best > best
-                improved_flags.append(improved)
-                if improved:
-                    best = column_best
-                    best_node = node_id
-                    best_offset = offset
-                    segment, lane = np.unravel_index(
-                        int(h_store.argmax()), h_store.shape
-                    )
-                    best_q = int(lane) * seg + int(segment) + 1
-            final_h[node_id] = h_store
-            final_e[node_id] = e
-
-        if adj_addrs:
-            probe.load_block(np.asarray(adj_addrs, dtype=np.int64), 16)
-        if touch_line_blocks:
-            probe.load_block(np.concatenate(touch_line_blocks), 64)
-        if touch_tail_addrs:
-            probe.load_block(np.asarray(touch_tail_addrs, dtype=np.int64), touch_tail)
-        if seq_blocks:
-            probe.load_block(np.concatenate(seq_blocks), 1)
-        if columns:
-            probe.load_block(np.tile(self._profile_row, columns), word_bytes)
-        if self.store_full_matrix and store_blocks:
-            probe.store_block(np.concatenate(store_blocks), self.LANE_BYTES)
-        probe.alu_bulk(
-            OpClass.VECTOR_ALU,
-            merge_alu + (10 * seg + 1) * columns + lazyf_alu[0],
-            dependent_count=10 * seg * columns,
-        )
-        probe.branch_trace(11, lazyf_branches)
-        probe.branch_trace(10, improved_flags)
-        return GraphAlignmentResult(
-            score=int(best),
-            end_node=best_node,
-            end_offset=best_offset,
-            query_end=best_q,
-            cells_computed=cells,
-        )
-
-    def _column_vec(
-        self,
-        h_prev: np.ndarray,
-        e_prev: np.ndarray,
-        profile: np.ndarray,
-        open_cost: int,
-        extend_cost: int,
-        lazyf_branches: list[bool],
-        lazyf_alu: list[int],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Striped SW column as whole-matrix ops plus a max-plus F scan.
-
-        With ``open >= extend`` the in-column F recurrence
-        ``f[s+1] = max(h[s] - open, f[s] - extend)`` is equivalent to
-        ``f[s+1] = max(c[s] - open, f[s] - extend)`` where ``c`` is the
-        F-independent part of the cell, so substituting
-        ``g[s] = f[s] + s*extend`` turns it into a running maximum —
-        ``np.maximum.accumulate`` — over exact int64 arithmetic.  The
-        results are bit-identical to the scalar segment loop.
-        """
-        seg = self.segment_length
-        e = np.maximum(h_prev - open_cost, e_prev - extend_cost)
-        h_in = np.empty_like(h_prev)
-        h_in[0, 0] = 0
-        h_in[0, 1:] = h_prev[seg - 1, : self.lanes - 1]
-        if seg > 1:
-            h_in[1:] = h_prev[:-1]
-        c = np.maximum(np.maximum(h_in + profile, e), 0)
-        g = np.empty((seg + 1, self.lanes), dtype=np.int64)
-        g[0] = _NEG_INF
-        np.add(c, extend_cost * self._scan_steps[1:] - open_cost, out=g[1:])
-        np.maximum.accumulate(g, axis=0, out=g)
-        f_all = g - extend_cost * self._scan_steps
-        h_store = np.maximum(c, f_all[:seg])
-        f = f_all[seg]
-
-        done = False
-        for _ in range(self.lanes):
-            f = np.concatenate(([np.int64(_NEG_INF)], f[:-1]))
-            lazyf_alu[0] += 1
-            for segment in range(seg):
-                np.maximum(h_store[segment], f, out=h_store[segment])
-                threshold = h_store[segment] - open_cost
-                f = f - extend_cost
-                lazyf_alu[0] += 4
-                continuing = bool((f > threshold).any())
-                lazyf_branches.append(continuing)
-                if not continuing:
-                    done = True
-                    break
-            if done:
-                break
-        return h_store, e
+        return align_batch([(self, graph)])[0]
 
     def _align_reference(self, graph: SequenceGraph) -> GraphAlignmentResult:
         """Scalar-loop reference with per-column probe emission.
@@ -522,6 +349,237 @@ def e_prev_col(
 ) -> np.ndarray:
     """Current-column E for *segment*: gap opened or extended from the left."""
     return np.maximum(h_prev[segment] - open_cost, e_prev[segment] - extend_cost)
+
+
+#: Query-profile row per byte of a node label; ``N`` (anything but
+#: ``ACGT``) scores against the profile of ``A``, as the reference does.
+_PROFILE_ROW = np.zeros(256, dtype=np.intp)
+_PROFILE_ROW[np.frombuffer(b"ACGT", dtype=np.uint8)] = np.arange(4)
+
+
+def align_batch(
+    pairs: Sequence[tuple[GSSW, SequenceGraph]],
+) -> list[GraphAlignmentResult]:
+    """Align every ``(aligner, graph)`` pair; vectorized ones in lockstep.
+
+    Vectorized aligners with the same striped shape and gap costs
+    advance together, one DP column of each per step on
+    ``(batch, seg, lanes)`` arrays, recording only per-column scalars.
+    Afterwards each pair emits its probe events in item order: the same
+    calls and arrays as aligning it alone.  So the results and the probe
+    stream equal ``[aligner.align(graph) for aligner, graph in pairs]``;
+    a scalar-backend pair runs the reference loop at its place in that
+    order.
+    """
+    plans = [_Alignment(aligner, graph) if aligner.vectorize else None
+             for aligner, graph in pairs]
+    groups: dict[tuple[int, int, int, int], list[_Alignment]] = {}
+    for plan in plans:
+        if plan is not None:
+            aligner = plan.aligner
+            key = (aligner.segment_length, aligner.lanes,
+                   aligner.scoring.gap_open, aligner.scoring.gap_extend)
+            groups.setdefault(key, []).append(plan)
+    for group in groups.values():
+        _lockstep(group)
+    return [aligner._align_reference(graph) if plan is None else plan.emit()
+            for (aligner, graph), plan in zip(pairs, plans)]
+
+
+class _Alignment:
+    """One pair of a lockstep batch: its column plan, the node columns
+    its children merge, and the per-column scalars it emits from."""
+
+    def __init__(self, aligner: GSSW, graph: SequenceGraph) -> None:
+        self.aligner = aligner
+        self.order = topological_sort(graph)
+        self.nodes = [graph.node(node_id) for node_id in self.order]
+        self.parents = [graph.predecessors(node_id) for node_id in self.order]
+        self.ends = np.cumsum([len(node) for node in self.nodes],
+                              dtype=np.int64)
+        self.columns = int(self.ends[-1]) if self.nodes else 0
+        labels = "".join(node.sequence for node in self.nodes)
+        self.bases = _PROFILE_ROW[np.frombuffer(labels.encode("ascii"),
+                                                dtype=np.uint8)]
+        self.final: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.entered = 0
+        self.stops = np.zeros(0, dtype=np.int64)
+        self.improved = np.zeros(0, dtype=bool)
+        self.best = self.best_column = self.best_q = 0
+
+    def enter(self, h: np.ndarray, e: np.ndarray, row: int) -> None:
+        """Start the next node in row *row*: keep the finished node's
+        final column and seed H and E with the max over the parents'."""
+        k = self.entered
+        if k:
+            self.final[self.order[k - 1]] = (h[row].copy(), e[row].copy())
+        parents = self.parents[k]
+        if parents:
+            h[row] = np.maximum.reduce([self.final[p][0] for p in parents])
+            e[row] = np.maximum.reduce([self.final[p][1] for p in parents])
+        else:
+            h[row] = 0
+            e[row] = _NEG_INF
+        self.entered = k + 1
+
+    def emit(self) -> GraphAlignmentResult:
+        """Emit this alignment's event blocks and return its result."""
+        aligner = self.aligner
+        seg = aligner.segment_length
+        probe = aligner.probe
+        space = aligner._space
+        word_bytes = aligner._word_bytes
+        lane_bytes = aligner.LANE_BYTES
+        region = seg * word_bytes
+        touch_full = region // 64
+        touch_tail = region - touch_full * 64
+        touch_lines = 64 * np.arange(touch_full, dtype=np.int64)
+
+        matrix_base: dict[int, int] = {}
+        merge_alu = 0
+        adj_addrs: list[int] = []
+        touch_line_blocks: list[np.ndarray] = []
+        touch_tail_addrs: list[int] = []
+        seq_blocks: list[np.ndarray] = []
+        store_blocks: list[np.ndarray] = []
+        for node_id, node, parents in zip(self.order, self.nodes, self.parents):
+            if parents:
+                adj_addrs.append(aligner._graph_base + node_id * 64)
+                for parent in parents:
+                    base = matrix_base[parent]
+                    if touch_full:
+                        touch_line_blocks.append(base + touch_lines)
+                    if touch_tail > 0:
+                        touch_tail_addrs.append(base + touch_full * 64)
+                merge_alu += 2 * len(parents) * seg
+            base_address = space.alloc(len(node) * seg * word_bytes)
+            matrix_base[node_id] = base_address
+            sequence_base = space.alloc(len(node))
+            seq_blocks.append(sequence_base + np.arange(len(node), dtype=np.int64))
+            if aligner.store_full_matrix:
+                swizzle_rows = (base_address + aligner._swizzle_positions
+                                * (len(node) * lane_bytes))
+                offsets = lane_bytes * np.arange(len(node), dtype=np.int64)
+                store_blocks.append(np.add.outer(offsets, swizzle_rows).ravel())
+
+        columns = self.columns
+        _, lazyf_branches, lazyf_alu = lazy_f_trace(self.stops, seg,
+                                                    aligner.lanes)
+        if adj_addrs:
+            probe.load_block(np.asarray(adj_addrs, dtype=np.int64), 16)
+        if touch_line_blocks:
+            probe.load_block(np.concatenate(touch_line_blocks), 64)
+        if touch_tail_addrs:
+            probe.load_block(np.asarray(touch_tail_addrs, dtype=np.int64),
+                             touch_tail)
+        if seq_blocks:
+            probe.load_block(np.concatenate(seq_blocks), 1)
+        if columns:
+            probe.load_block(np.tile(aligner._profile_row, columns), word_bytes)
+        if store_blocks:
+            probe.store_block(np.concatenate(store_blocks), lane_bytes)
+        probe.alu_bulk(
+            OpClass.VECTOR_ALU,
+            merge_alu + (10 * seg + 1) * columns + lazyf_alu,
+            dependent_count=10 * seg * columns,
+        )
+        probe.branch_trace(11, lazyf_branches)
+        probe.branch_trace(10, self.improved)
+
+        best_node = best_offset = 0
+        if self.best:
+            k = int(np.searchsorted(self.ends, self.best_column, side="right"))
+            best_node = self.order[k]
+            best_offset = self.best_column - int(self.ends[k] - len(self.nodes[k]))
+        return GraphAlignmentResult(
+            score=self.best,
+            end_node=best_node,
+            end_offset=best_offset,
+            query_end=self.best_q,
+            cells_computed=len(aligner.query) * columns,
+        )
+
+
+def _lockstep(group: list[_Alignment]) -> None:
+    """Advance every alignment of *group* one DP column per step.
+
+    Rows are sorted longest-first, so the alignments still running are
+    always a prefix of the batch.  Each step is the striped column as
+    whole-array ops: ``c`` is a cell's F-independent part, and with
+    ``open >= extend`` the in-column recurrence ``f[s+1] = max(h[s] -
+    open, f[s] - extend)`` equals ``max(c[s] - open, f[s] - extend)``,
+    which ``g[s] = f[s] + s*extend`` turns into a running maximum.  Then
+    :func:`lazy_f` finishes the column and the running best is updated.
+    """
+    rows = sorted((plan for plan in group if plan.columns),
+                  key=lambda plan: -plan.columns)
+    if not rows:
+        return
+    aligner = rows[0].aligner
+    seg, lanes = aligner.segment_length, aligner.lanes
+    open_cost = aligner.scoring.gap_open + aligner.scoring.gap_extend
+    extend_cost = aligner.scoring.gap_extend
+    batch = len(rows)
+    steps = rows[0].columns
+
+    profiles = np.stack([[plan.aligner._profile[base] for base in "ACGT"]
+                         for plan in rows])
+    bases = np.zeros((steps, batch), dtype=np.intp)
+    entries: list[list[int]] = [[] for _ in range(steps)]
+    for row, plan in enumerate(rows):
+        bases[:plan.columns, row] = plan.bases
+        entries[0].append(row)
+        for start in plan.ends[:-1].tolist():
+            entries[start].append(row)
+    row_ids = np.arange(batch)
+    ramp = np.arange(seg + 1, dtype=np.int64)[:, None]
+    scan_in = extend_cost * ramp[1:] - open_cost
+    scan_out = extend_cost * ramp
+
+    stops = np.zeros((steps, batch), dtype=np.int64)
+    improved = np.zeros((steps, batch), dtype=bool)
+    best = np.zeros(batch, dtype=np.int64)
+    best_column = np.zeros(batch, dtype=np.int64)
+    best_q = np.zeros(batch, dtype=np.int64)
+    h = np.zeros((batch, seg, lanes), dtype=np.int64)
+    e = np.full((batch, seg, lanes), _NEG_INF, dtype=np.int64)
+    n = batch
+    for t in range(steps):
+        while rows[n - 1].columns <= t:
+            n -= 1
+        for row in entries[t]:
+            rows[row].enter(h, e, row)
+        h_prev = h[:n]
+        e = np.maximum(h_prev - open_cost, e[:n] - extend_cost)
+        c = profiles[row_ids[:n], bases[t, :n]]
+        c[:, 1:] += h_prev[:, :-1]
+        c[:, 0, 1:] += h_prev[:, seg - 1, :-1]
+        np.maximum(c, e, out=c)
+        np.maximum(c, 0, out=c)
+        g = np.empty((n, seg + 1, lanes), dtype=np.int64)
+        g[:, 0] = _NEG_INF
+        np.add(c, scan_in, out=g[:, 1:])
+        np.maximum.accumulate(g, axis=1, out=g)
+        g -= scan_out
+        h = np.maximum(c, g[:, :seg])
+        stops[t, :n] = lazy_f(h, g[:, seg], open_cost, extend_cost)
+        column_best = h.reshape(n, -1).max(axis=1)
+        better = column_best > best[:n]
+        if better.any():
+            improved[t, :n] = better
+            won = np.flatnonzero(better)
+            best[won] = column_best[won]
+            best_column[won] = t
+            flat = h[won].reshape(len(won), -1).argmax(axis=1)
+            best_q[won] = (flat % lanes) * seg + flat // lanes + 1
+
+    for row, plan in enumerate(rows):
+        plan.stops = stops[:plan.columns, row]
+        plan.improved = improved[:plan.columns, row]
+        plan.best = int(best[row])
+        plan.best_column = int(best_column[row])
+        plan.best_q = int(best_q[row])
+        plan.final.clear()
 
 
 def gssw_align(

@@ -69,6 +69,77 @@ def smith_waterman(
     )
 
 
+def lazy_f(h: np.ndarray, f: np.ndarray, open_cost: int,
+           extend_cost: int) -> np.ndarray:
+    """Farrar's lazy-F pass over a batch of striped columns, in closed form.
+
+    *h* is ``(batch, seg, lanes)`` and is updated in place; *f* is
+    ``(batch, lanes)``, each column's F leaving its last segment.  The
+    segment loop this replaces (kept in the scalar backends) shifts F
+    one lane per pass, then per segment raises H to F, lowers F by
+    ``extend`` and goes on while some lane's F beats ``H - open``.
+    Unrolled, pass ``r`` meets segment ``s`` with
+    ``shift^(r+1)(f) - (r*seg + s)*extend``, where a lane the shifts
+    filled holds ``-inf`` lowered by the extends it has taken since.  So
+    a whole pass is a few array ops, and later passes are computed only
+    for the columns still going.  Exact int64 arithmetic: H, the stop
+    points and everything derived from them equal the segment loop's.
+
+    Returns per column the flat index ``r*seg + s`` of the segment whose
+    exit branch fell through, or ``lanes*seg`` if none did (see
+    :func:`lazy_f_trace`).
+    """
+    batch, seg, lanes = h.shape
+    stops = np.full(batch, lanes * seg, dtype=np.int64)
+    # Left-pad f so that slicing reproduces the loop's fill: each pass
+    # shifts -inf into lane 0 and lowers it with the rest, so each pad
+    # lane further left starts seg*extend above its right neighbour.
+    padded = np.empty((batch, 2 * lanes), dtype=np.int64)
+    padded[:, :lanes] = _NEG_INF + seg * extend_cost * np.arange(
+        lanes - 1, -1, -1, dtype=np.int64)
+    padded[:, lanes:] = f
+    decay = extend_cost * np.arange(seg, dtype=np.int64)[:, None]
+    # The exit test F - extend > H - open, as F + slack > H.
+    slack = open_cost - extend_cost
+    reach_all = np.arange(seg)
+    rows = np.arange(batch)
+    for r in range(lanes):
+        f_pass = padded[:, None, lanes - r - 1: 2 * lanes - r - 1] - decay
+        current = h if r == 0 else h[rows]
+        raised = np.maximum(current, f_pass)
+        going = (f_pass + slack > raised).any(axis=2)
+        first = going.argmin(axis=1)
+        through = going[np.arange(len(rows)), first]
+        updated = reach_all <= np.where(through, seg, first)[:, None]
+        np.copyto(current, raised, where=updated[:, :, None])
+        if r:
+            h[rows] = current
+        stopped = ~through
+        stops[rows[stopped]] = r * seg + first[stopped]
+        if not through.any():
+            break
+        rows = rows[through]
+        padded = padded[through]
+        decay = decay + seg * extend_cost
+    return stops
+
+
+def lazy_f_trace(stops: np.ndarray, seg: int,
+                 lanes: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """What the lazy-F segment loop did, from :func:`lazy_f`'s stops.
+
+    Returns the segment steps per column, every column's exit-branch
+    outcomes in stream order (taken until the one fall-through), and the
+    vector-op count (one lane shift per pass plus four ops per step).
+    """
+    fell = stops < lanes * seg
+    steps = stops + fell
+    outcomes = np.ones(int(steps.sum()), dtype=bool)
+    outcomes[np.cumsum(steps)[fell] - 1] = False
+    alu = int(((steps - 1) // seg + 1).sum()) + 4 * outcomes.size
+    return steps, outcomes, alu
+
+
 class StripedSmithWaterman:
     """Farrar's striped SIMD Smith–Waterman (the SSW library's algorithm).
 
@@ -186,6 +257,7 @@ class StripedSmithWaterman:
         e_row = self._e_base + segment_offsets
         h_load_row = self._h_base + seg * word_bytes + segment_offsets
         improved_flags: list[bool] = []
+        lazyf_stops: list[int] = []
         lazyf_stores: list[int] = []
         lazyf_branches: list[bool] = []
         lazyf_alu = 0
@@ -250,23 +322,27 @@ class StripedSmithWaterman:
             # (the vertical dependency Farrar speculates away).  The
             # stores and data-dependent exit branches are accumulated and
             # flushed as blocks after the column sweep.
-            done = False
-            for _ in range(self.lanes):
-                f = np.concatenate(([np.int64(_NEG_INF)], f[:-1]))
-                lazyf_alu += 1
-                for segment in range(seg):
-                    np.maximum(h_store[segment], f, out=h_store[segment])
-                    lazyf_stores.append(self._h_base + segment * word_bytes)
-                    threshold = h_store[segment] - open_cost
-                    f = f - extend_cost
-                    lazyf_alu += 4
-                    continuing = bool((f > threshold).any())
-                    lazyf_branches.append(continuing)
-                    if not continuing:
-                        done = True
+            if self.vectorize:
+                lazyf_stops.append(int(lazy_f(h_store[None], f[None],
+                                              open_cost, extend_cost)[0]))
+            else:
+                done = False
+                for _ in range(self.lanes):
+                    f = np.concatenate(([np.int64(_NEG_INF)], f[:-1]))
+                    lazyf_alu += 1
+                    for segment in range(seg):
+                        np.maximum(h_store[segment], f, out=h_store[segment])
+                        lazyf_stores.append(self._h_base + segment * word_bytes)
+                        threshold = h_store[segment] - open_cost
+                        f = f - extend_cost
+                        lazyf_alu += 4
+                        continuing = bool((f > threshold).any())
+                        lazyf_branches.append(continuing)
+                        if not continuing:
+                            done = True
+                            break
+                    if done:
                         break
-                if done:
-                    break
 
             column_best = int(h_store.max())
             improved = column_best > best
@@ -277,6 +353,13 @@ class StripedSmithWaterman:
                 segment, lane = np.unravel_index(int(h_store.argmax()), h_store.shape)
                 best_q = int(lane) * seg + int(segment) + 1
 
+        if self.vectorize:
+            steps, lazyf_branches, lazyf_alu = lazy_f_trace(
+                np.asarray(lazyf_stops, dtype=np.int64), seg, self.lanes)
+            # Step i of a column's lazy-F stores segment i mod seg.
+            column_start = np.repeat(np.cumsum(steps) - steps, steps)
+            step = np.arange(len(lazyf_branches), dtype=np.int64) - column_start
+            lazyf_stores = self._h_base + word_bytes * (step % seg)
         probe.store_block(lazyf_stores, word_bytes)
         probe.branch_trace(2, lazyf_branches)
         probe.alu_bulk(OpClass.VECTOR_ALU, lazyf_alu)

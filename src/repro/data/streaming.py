@@ -141,9 +141,14 @@ class ChunkedSeries:
 
     # -- sequence protocol ---------------------------------------------
 
-    def __iter__(self) -> Iterator:
+    def chunks(self) -> Iterator[list]:
+        """Each chunk's items as one list, in order."""
         for start, stop in self._ranges():
-            yield from self._fetch(start, stop)
+            yield self._fetch(start, stop)
+
+    def __iter__(self) -> Iterator:
+        for chunk in self.chunks():
+            yield from chunk
 
     def __len__(self) -> int:
         ends = self._chunk_ends()

@@ -568,6 +568,12 @@ def _fallback_warnings(reports: dict) -> list[str]:
     return lines
 
 
+def _seconds_cell(report, studies) -> str:
+    """A report's kernel seconds, or ``-`` when the ``timing`` study did
+    not run: unmeasured reads as absent, not ``0.000``."""
+    return f"{report.wall_seconds:.3f}" if "timing" in studies else "-"
+
+
 def _command_run(args: argparse.Namespace) -> int:
     kernels = list(args.kernels) + list(args.kernels_opt or [])
     if not kernels:
@@ -604,7 +610,7 @@ def _command_run(args: argparse.Namespace) -> int:
             name,
             report.backend or "-",
             report.inputs_processed,
-            f"{report.wall_seconds:.3f}",
+            _seconds_cell(report, studies),
             f"{report.ipc:.2f}" if report.ipc else "-",
             (max(report.topdown, key=report.topdown.get)
              if report.topdown else "-"),
@@ -801,7 +807,7 @@ def _command_serve_submit(args: argparse.Namespace) -> int:
                 handle.job.backend or "-",
                 handle.origin,
                 f"{handle.latency_seconds:.3f}",
-                f"{report.wall_seconds:.3f}",
+                _seconds_cell(report, studies),
                 report.error or "-",
             ])
     print(render_table(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import weakref
 
-from repro.align.gssw import GSSW, graph_smith_waterman_scalar
+from repro.align.gssw import GSSW, align_batch, graph_smith_waterman_scalar
 from repro.align.scoring import VG_DEFAULT
 from repro.data import derivation
 from repro.data.streaming import ChunkedSeries, streaming_config
@@ -121,13 +121,18 @@ class GSSWKernel(Kernel):
         cells = 0
         score_total = 0
         subgraph_bases = 0
-        for query, subgraph in self.items:
-            aligner = GSSW(query, VG_DEFAULT, probe=probe,
-                           backend=self.backend)
-            result = aligner.align(subgraph)
-            cells += result.cells_computed
-            score_total += result.score
-            subgraph_bases += subgraph.total_sequence_length
+        batches = (self.items.chunks() if isinstance(self.items, ChunkedSeries)
+                   else [self.items])
+        for batch in batches:
+            results = align_batch([
+                (GSSW(query, VG_DEFAULT, probe=probe, backend=self.backend),
+                 subgraph)
+                for query, subgraph in batch
+            ])
+            for (_, subgraph), result in zip(batch, results):
+                cells += result.cells_computed
+                score_total += result.score
+                subgraph_bases += subgraph.total_sequence_length
         return KernelResult(
             kernel=self.name,
             wall_seconds=0.0,

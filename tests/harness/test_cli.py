@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -97,6 +98,47 @@ class TestCli:
     def test_bad_scenario_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--scenario", "nope"])
+
+
+def _table_column(out, header, kernels):
+    """The *header* column's cell for each of *kernels*' table rows,
+    sliced at the column spans of the table's ``----`` rule."""
+    lines = out.splitlines()
+    rule = next(i for i, line in enumerate(lines)
+                if line.startswith("---") and " " in line.strip())
+    spans = [m.span() for m in re.finditer(r"-+", lines[rule])]
+    names = [lines[rule - 1][a:b].strip() for a, b in spans]
+    a, b = spans[names.index(header)]
+    return {line.split()[0]: line[a:b].strip() for line in lines[rule + 1:]
+            if line.split() and line.split()[0] in kernels}
+
+
+class TestUnmeasuredSeconds:
+    """Without the ``timing`` study, kernel seconds read ``-``, not 0.000."""
+
+    def test_run_without_timing_prints_dash(self, capsys):
+        assert main(["run", "--kernels", "tc", "gbwt", "--scale", "0.05",
+                     "--studies", "topdown"]) == 0
+        out = capsys.readouterr().out
+        assert _table_column(out, "seconds", ("tc", "gbwt")) \
+            == {"tc": "-", "gbwt": "-"}
+
+    def test_run_with_timing_prints_seconds(self, capsys):
+        assert main(["run", "--kernels", "gbwt", "--scale", "0.05",
+                     "--studies", "timing"]) == 0
+        cell = _table_column(capsys.readouterr().out, "seconds", ("gbwt",))
+        assert float(cell["gbwt"]) > 0
+
+    @pytest.mark.parametrize("studies, measured",
+                             [("topdown", False), ("timing", True)])
+    def test_serve_submit(self, capsys, tmp_path, monkeypatch, studies,
+                          measured):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        assert main(["serve", "submit", "tsu", "--studies", studies,
+                     "--scale", "0.05", "--workers", "1",
+                     "--isolation", "inline"]) == 0
+        cell = _table_column(capsys.readouterr().out, "kernel s", ("tsu",))
+        assert (cell["tsu"] != "-") == measured
 
 
 class TestBackendCli:

@@ -13,6 +13,7 @@ figure at the same parameters is a cache hit (delete
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 from repro.data import default_store, scenario_spec
@@ -65,3 +66,26 @@ def emit(name: str, text: str) -> None:
     print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+
+
+def append_trajectory(path: Path, bench: str, entry: dict,
+                      field: str | None = None, higher_is_better: bool = True,
+                      ratio: float = 1.0, message: str = "") -> None:
+    """Append *entry* to the committed ``{"bench", "entries"}``
+    trajectory at *path* (the files ``repro obs check`` reads).
+
+    With *field*, also fail if the entry collapsed versus the best prior
+    entry: below ``ratio * best`` when *higher_is_better*, else above
+    it.  *message* is formatted with ``value``, ``best`` and ``bound``.
+    """
+    entries = json.loads(path.read_text())["entries"] if path.exists() else []
+    prior = [e[field] for e in entries if field and e.get(field) is not None]
+    entries.append(entry)
+    path.write_text(json.dumps({"bench": bench, "entries": entries},
+                               indent=2) + "\n")
+    if prior:
+        best = max(prior) if higher_is_better else min(prior)
+        bound, value = ratio * best, entry[field]
+        assert (value >= bound) if higher_is_better else (value <= bound), \
+            message.format(value=value, best=best, bound=bound)
+    print(f"trajectory: {path} ({len(entries)} entries)")

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from _common import RESULTS_DIR, emit
+from _common import RESULTS_DIR, append_trajectory, emit
 
 from repro import __version__
 from repro.analysis.report import render_table
@@ -127,29 +127,6 @@ def run_experiment() -> dict:
     }
 
 
-def _load_trajectory() -> list[dict]:
-    if not TRAJECTORY.exists():
-        return []
-    return json.loads(TRAJECTORY.read_text())["entries"]
-
-
-def _append_compare(entry: dict) -> None:
-    """Append *entry* to the committed trajectory; fail only if the
-    crossover ballooned versus the best (lowest) prior entry."""
-    entries = _load_trajectory()
-    best = min((e["crossover_nodes"] for e in entries
-                if e.get("crossover_nodes")), default=None)
-    entries.append(entry)
-    TRAJECTORY.write_text(json.dumps(
-        {"bench": "layout_crossover", "entries": entries}, indent=2) + "\n")
-    if best is not None:
-        ceiling = MAX_CROSSOVER_RATIO * best
-        assert entry["crossover_nodes"] <= ceiling, (
-            f"GPU crossover ballooned: {entry['crossover_nodes']} nodes "
-            f"vs best committed {best} (ceiling {ceiling:.0f})"
-        )
-
-
 def _emit(results: dict) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_layout_crossover.json").write_text(
@@ -195,8 +172,12 @@ def test_layout_crossover():
     # occupancy pinned by 44 regs/thread at block 1024.
     assert abs(results["calibration"]["theoretical_occupancy"] - 2 / 3) \
         < 0.01
-    _append_compare(results)
-    print(f"trajectory: {TRAJECTORY} ({len(_load_trajectory())} entries)")
+    append_trajectory(
+        TRAJECTORY, "layout_crossover", results, field="crossover_nodes",
+        higher_is_better=False, ratio=MAX_CROSSOVER_RATIO,
+        message=("GPU crossover ballooned: {value} nodes vs best "
+                 "committed {best} (ceiling {bound:.0f})"),
+    )
 
 
 if __name__ == "__main__":

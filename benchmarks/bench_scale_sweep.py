@@ -32,7 +32,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from _common import RESULTS_DIR
+from _common import RESULTS_DIR, append_trajectory
 
 from repro import __version__
 from repro.data import ArtifactStore, use_store
@@ -121,19 +121,6 @@ def run_experiment() -> dict:
     }
 
 
-def _load_trajectory() -> list[dict]:
-    if not TRAJECTORY.exists():
-        return []
-    return json.loads(TRAJECTORY.read_text())["entries"]
-
-
-def _append(entry: dict) -> None:
-    entries = _load_trajectory()
-    entries.append(entry)
-    TRAJECTORY.write_text(json.dumps(
-        {"bench": "scale_sweep", "entries": entries}, indent=2) + "\n")
-
-
 def _emit(results: dict) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_scale_sweep.json").write_text(
@@ -159,8 +146,7 @@ def test_scale_sweep():
         f"peak memory grows as scale^{results['memory_growth_exponent']:.2f};"
         f" must stay sub-quadratic"
     )
-    _append(results)
-    print(f"trajectory: {TRAJECTORY} ({len(_load_trajectory())} entries)")
+    append_trajectory(TRAJECTORY, "scale_sweep", results)
 
 
 if __name__ == "__main__":

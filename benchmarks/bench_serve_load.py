@@ -34,7 +34,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from _common import RESULTS_DIR
+from _common import RESULTS_DIR, append_trajectory
 
 from repro import __version__
 from repro.data import ensure_corpus, scenario_spec
@@ -138,28 +138,6 @@ def run_experiment() -> dict:
     }
 
 
-def _load_trajectory() -> list[dict]:
-    if not TRAJECTORY.exists():
-        return []
-    return json.loads(TRAJECTORY.read_text())["entries"]
-
-
-def _append_compare(entry: dict) -> None:
-    """Append *entry* to the committed trajectory; fail only if
-    throughput collapsed versus the best prior entry."""
-    entries = _load_trajectory()
-    best = max((e["requests_per_sec"] for e in entries), default=None)
-    entries.append(entry)
-    TRAJECTORY.write_text(json.dumps(
-        {"bench": "serve_load", "entries": entries}, indent=2) + "\n")
-    if best is not None:
-        floor = MIN_THROUGHPUT_RATIO * best
-        assert entry["requests_per_sec"] >= floor, (
-            f"serve throughput collapsed: {entry['requests_per_sec']:.0f} "
-            f"req/s vs best committed {best:.0f} (floor {floor:.0f})"
-        )
-
-
 def _emit(results: dict) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_serve_load.json").write_text(
@@ -192,8 +170,12 @@ def test_serve_load():
     )
     # The bursts provably overlapped in-flight work.
     assert results["coalesced"] > 0, "no request ever coalesced"
-    _append_compare(results)
-    print(f"trajectory: {TRAJECTORY} ({len(_load_trajectory())} entries)")
+    append_trajectory(
+        TRAJECTORY, "serve_load", results, field="requests_per_sec",
+        ratio=MIN_THROUGHPUT_RATIO,
+        message=("serve throughput collapsed: {value:.0f} req/s vs best "
+                 "committed {best:.0f} (floor {bound:.0f})"),
+    )
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from _common import RESULTS_DIR
+from _common import RESULTS_DIR, append_trajectory
 
 from repro import __version__
 from repro.serve import ShardedResultStore
@@ -92,28 +92,6 @@ def run_experiment() -> dict:
     }
 
 
-def _load_trajectory() -> list[dict]:
-    if not TRAJECTORY.exists():
-        return []
-    return json.loads(TRAJECTORY.read_text())["entries"]
-
-
-def _append_compare(entry: dict) -> None:
-    """Append *entry* to the committed trajectory; fail only if cold
-    grid throughput collapsed versus the best prior entry."""
-    entries = _load_trajectory()
-    best = max((e["cold_points_per_sec"] for e in entries), default=None)
-    entries.append(entry)
-    TRAJECTORY.write_text(json.dumps(
-        {"bench": "sweep", "entries": entries}, indent=2) + "\n")
-    if best is not None:
-        floor = MIN_THROUGHPUT_RATIO * best
-        assert entry["cold_points_per_sec"] >= floor, (
-            f"sweep throughput collapsed: {entry['cold_points_per_sec']:.2f} "
-            f"points/s vs best committed {best:.2f} (floor {floor:.2f})"
-        )
-
-
 def _emit(results: dict) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_sweep.json").write_text(
@@ -142,8 +120,12 @@ def test_sweep():
         f"{results['warm_cache_hit_rate']:.4f}"
     )
     assert results["paper_points"] >= 1
-    _append_compare(results)
-    print(f"trajectory: {TRAJECTORY} ({len(_load_trajectory())} entries)")
+    append_trajectory(
+        TRAJECTORY, "sweep", results, field="cold_points_per_sec",
+        ratio=MIN_THROUGHPUT_RATIO,
+        message=("sweep throughput collapsed: {value:.2f} points/s vs "
+                 "best committed {best:.2f} (floor {bound:.2f})"),
+    )
 
 
 if __name__ == "__main__":

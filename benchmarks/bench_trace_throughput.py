@@ -35,6 +35,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from _common import append_trajectory
 
 from repro import __version__
 from repro.data import ArtifactStore, use_store
@@ -204,30 +205,6 @@ def run_characterization() -> dict:
     }
 
 
-def _load_trajectory() -> list[dict]:
-    if not TRAJECTORY.exists():
-        return []
-    return json.loads(TRAJECTORY.read_text())["entries"]
-
-
-def _append_compare(entry: dict) -> None:
-    """Append *entry* to the committed trajectory; fail only if the
-    characterization run collapsed versus the best prior entry."""
-    entries = _load_trajectory()
-    best = min((e["characterization_wall_seconds"] for e in entries),
-               default=None)
-    entries.append(entry)
-    TRAJECTORY.write_text(json.dumps(
-        {"bench": "trace_throughput", "entries": entries}, indent=2) + "\n")
-    if best is not None:
-        ceiling = MAX_WALL_RATIO * best
-        assert entry["characterization_wall_seconds"] <= ceiling, (
-            f"cold characterization collapsed: "
-            f"{entry['characterization_wall_seconds']:.1f}s vs best "
-            f"committed {best:.1f}s (ceiling {ceiling:.1f}s)"
-        )
-
-
 def _emit(results: dict) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / "BENCH_trace_throughput.json"
@@ -256,8 +233,13 @@ def test_trace_throughput():
         f"batched ingestion only {results['overall_speedup']:.1f}x faster; "
         f"need >= {MIN_SPEEDUP:.0f}x"
     )
-    _append_compare(results)
-    print(f"trajectory: {TRAJECTORY} ({len(_load_trajectory())} entries)")
+    append_trajectory(
+        TRAJECTORY, "trace_throughput", results,
+        field="characterization_wall_seconds", higher_is_better=False,
+        ratio=MAX_WALL_RATIO,
+        message=("cold characterization collapsed: {value:.1f}s vs best "
+                 "committed {best:.1f}s (ceiling {bound:.1f}s)"),
+    )
 
 
 if __name__ == "__main__":

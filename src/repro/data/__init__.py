@@ -1,5 +1,5 @@
-"""The workload subsystem: declarative dataset specs, a shared on-disk
-artifact store, and a scenario registry.
+"""The workload subsystem: declarative dataset specs, scenario
+manifests, and a shared on-disk artifact store.
 
 Where the suite's datasets come from (DESIGN.md "Workloads"):
 
@@ -8,11 +8,11 @@ Where the suite's datasets come from (DESIGN.md "Workloads"):
   reads, plus the generator version);
 * :mod:`repro.data.manifest` — declarative TOML scenario manifests
   under ``benchmarks/manifests/``: corpus axes whose cross-product
-  expands into content-hashed cells (``repro sweep`` runs the grid);
-* :mod:`repro.data.scenarios` — ``SCENARIO_REGISTRY``, the runtime view
-  over the expanded suite manifest (``default``, ``dense-pop``,
-  ``divergent``, ``long-read-heavy``, ``sv-rich``) selectable via
-  ``repro run --scenario``; sweeps install further manifests on top;
+  expands into content-hashed cells (``repro sweep`` runs the grid).
+  Installed cells are the runtime scenarios :func:`scenario_spec`
+  resolves; the suite manifest (``default``, ``dense-pop``,
+  ``divergent``, ``long-read-heavy``, ``sv-rich``) is installed at
+  import and selectable via ``repro run --scenario``;
 * :mod:`repro.data.corpus` — the generators: :func:`build_corpus`
   (spec -> :class:`SuiteData`) and the shared derived-input generators;
 * :mod:`repro.data.derive` — registry of cacheable corpus -> kernel
@@ -40,6 +40,7 @@ from repro.data.corpus import (
 )
 from repro.data.derive import DERIVATIONS, Derivation, derivation, get_derivation
 from repro.data.manifest import (
+    INSTALLED_CELLS,
     Manifest,
     ManifestCell,
     available_manifests,
@@ -49,12 +50,6 @@ from repro.data.manifest import (
     loads_manifest,
     parse_manifest,
     resolve_manifest,
-)
-from repro.data.scenarios import (
-    SCENARIO_REGISTRY,
-    Scenario,
-    get_scenario,
-    register_scenario,
     scenario_names,
     scenario_spec,
 )
@@ -85,8 +80,7 @@ def corpus(scenario: str = "default", scale: float = 1.0,
 
 __all__ = [
     "GENERATOR_VERSION", "DatasetSpec",
-    "SCENARIO_REGISTRY", "Scenario", "get_scenario", "register_scenario",
-    "scenario_names", "scenario_spec",
+    "INSTALLED_CELLS", "scenario_names", "scenario_spec",
     "Manifest", "ManifestCell", "available_manifests",
     "default_manifest_dir", "install_manifest", "load_manifest",
     "loads_manifest", "parse_manifest", "resolve_manifest",

@@ -1,13 +1,15 @@
 """Declarative scenario manifests: axes, cross-products, named cells.
 
-The registry in :mod:`repro.data.scenarios` used to be five hand-written
-``register_scenario`` calls; a production matrix needs hundreds of
-corpora, which nobody should enumerate by hand.  A *manifest* is a TOML
+A *scenario* is a named corpus (the graph-variation axes of Figure 11
+and of *The design and construction of reference pangenome graphs*:
+sample count and divergence shape the graph) selectable as ``repro run
+--scenario dense-pop``.  A production matrix needs hundreds of them,
+which nobody should enumerate by hand.  A *manifest* is a TOML
 file (committed under ``benchmarks/manifests/``) that describes corpus
 **axes** — population size, divergence, SV spectrum, read profile —
 whose cross-product expands into one :class:`ManifestCell` (and thus one
 content-hashed :class:`~repro.data.spec.DatasetSpec`) per combination,
-plus optional explicitly-named **cells** (the legacy registry form).
+plus optional explicitly-named **cells**.
 The shape follows HYMET's ``cami_manifest.tsv``: a declarative sample
 grid expanded by code, never duplicated into it.
 
@@ -45,6 +47,14 @@ at parse time — a manifest either expands cleanly or not at all.
 (:mod:`repro.sweep.gates`) are asserted on during sweeps, so scenario
 growth can't silently break fidelity; everything else defaults to
 ``"bench"`` (run, aggregate, but don't gate).
+
+The runtime scenario lookup is :data:`INSTALLED_CELLS`: importing this
+module installs the committed ``suite`` manifest (``default``,
+``dense-pop``, ``divergent``, ``long-read-heavy``, ``sv-rich``) and
+``repro sweep`` installs whole grids on top.  :func:`scenario_spec`
+resolves a name through it; the scenario name is threaded through
+:class:`KernelReport` metadata and the result store's cache key so
+per-scenario figures never collide.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ from itertools import product
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from repro.errors import ManifestError
+from repro.errors import DatasetError, ManifestError
 from repro.sequence.mutate import VariantRates
 from repro.data.spec import SUITE_RATES, DatasetSpec
 
@@ -285,7 +295,7 @@ def _make_cell(name: str, level: _Level,
         axes=axes,
     )
     try:
-        cell.spec()  # validate the overrides eagerly, like the registry
+        cell.spec()  # validate the overrides eagerly
     except Exception as error:
         raise ManifestError(
             f"{source}: cell {name!r} expands to an invalid spec: {error}"
@@ -427,38 +437,60 @@ def resolve_manifest(name_or_path: str | Path) -> Manifest:
     return load_manifest(path)
 
 
-#: The manifest the scenario registry itself expands from.
+#: The manifest installed at import: the suite's named scenarios.
 SUITE_MANIFEST = "suite"
+
+#: name -> installed cell, in install order (display order): the runtime
+#: scenario lookup the harness, executor and serve layers resolve names
+#: through.
+INSTALLED_CELLS: dict[str, ManifestCell] = {}
 
 
 def install_manifest(manifest: Manifest | str | Path) -> Manifest:
-    """Register every cell of *manifest* as a runtime scenario.
+    """Make every cell of *manifest* addressable as a runtime scenario
+    (``repro run --scenario pop16-div2x-...``).
 
-    The scenario registry is the runtime lookup the harness, executor
-    and serve layers resolve names through; installing a manifest makes
-    its cells addressable (``repro run --scenario pop16-div2x-...``).
     Re-installing is idempotent; a cell whose name collides with a
-    differently-parameterized registered scenario raises.
+    differently-parameterized installed cell raises.
     """
-    from repro.data import scenarios
-
     if not isinstance(manifest, Manifest):
         manifest = resolve_manifest(manifest)
     for cell in manifest.cells:
-        existing = scenarios.SCENARIO_REGISTRY.get(cell.name)
-        if existing is not None:
-            if existing.spec().digest() != cell.digest():
-                raise ManifestError(
-                    f"manifest {manifest.name!r} cell {cell.name!r} "
-                    "collides with an already-registered scenario of "
-                    "different content"
-                )
-            continue
-        scenarios.register_scenario(scenarios.Scenario(
-            name=cell.name,
-            description=cell.description,
-            overrides=dict(cell.overrides),
-            fidelity=cell.fidelity,
-            axes=dict(cell.axes),
-        ))
+        existing = INSTALLED_CELLS.setdefault(cell.name, cell)
+        if existing is not cell and existing.digest() != cell.digest():
+            raise ManifestError(
+                f"manifest {manifest.name!r} cell {cell.name!r} "
+                "collides with an already-installed scenario of "
+                "different content"
+            )
     return manifest
+
+
+def scenario_names() -> tuple[str, ...]:
+    """All installed scenario names, in install order."""
+    return tuple(INSTALLED_CELLS)
+
+
+def scenario_spec(name: str, scale: float = 1.0, seed: int = 0) -> DatasetSpec:
+    """The :class:`DatasetSpec` for an installed scenario.
+
+    Validates the run axes up front: a non-positive ``scale`` raises a
+    :class:`~repro.errors.DatasetError` naming the scenario instead of
+    surfacing as a bare spec-construction failure downstream.
+    """
+    try:
+        cell = INSTALLED_CELLS[name]
+    except KeyError:
+        known = ", ".join(sorted(INSTALLED_CELLS))
+        raise DatasetError(
+            f"unknown scenario {name!r}; known: {known}"
+        ) from None
+    if not scale > 0:
+        raise DatasetError(
+            f"scenario {name!r} scale must be > 0, got {scale!r}"
+        )
+    return cell.spec(scale=scale, seed=seed)
+
+
+install_manifest(load_manifest(default_manifest_dir()
+                            / f"{SUITE_MANIFEST}.toml"))

@@ -39,8 +39,8 @@ SUITE_RATES = VariantRates(snp=0.004, insertion=0.0008, deletion=0.0008,
 class DatasetSpec:
     """Everything that determines the content of one suite corpus.
 
-    ``scenario`` names the registered parameter bundle the spec came
-    from (:mod:`repro.data.scenarios`); ``scale``/``seed`` are the two
+    ``scenario`` names the installed manifest cell the spec came from
+    (:mod:`repro.data.manifest`); ``scale``/``seed`` are the two
     per-run axes the harness sweeps.  The remaining fields are the
     corpus parameters themselves, all expressed at ``scale == 1.0``:
 

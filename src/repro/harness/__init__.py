@@ -7,7 +7,6 @@ from repro.harness.executor import (
     execute_jobs,
 )
 from repro.harness.runner import (
-    ALL_STUDIES,
     SCHEMA_VERSION,
     KernelReport,
     load_reports,
@@ -25,7 +24,7 @@ from repro.harness.studies import (
 )
 
 __all__ = [
-    "ALL_STUDIES", "SCHEMA_VERSION", "KernelReport", "load_reports",
+    "SCHEMA_VERSION", "KernelReport", "load_reports",
     "run_kernel_studies", "run_suite", "save_reports",
     "ExecutionPlan", "Job", "compile_plan", "execute_jobs",
     "default_result_store", "job_digest",

@@ -73,6 +73,20 @@ def _name_list(value: str) -> list[str]:
     return [item for item in value.split(",") if item]
 
 
+class _FlatList(argparse.Action):
+    """``action="extend"`` over comma-joinable tokens: every use adds its
+    names to one flat list (``--studies timing,validate --studies gpu``
+    gives three), and the first use replaces the default instead of
+    extending it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        if items is self.default:
+            items = []
+        setattr(namespace, self.dest,
+                items + [name for token in values for name in token])
+
+
 def _study_list(value: str) -> list[str]:
     """One ``--studies`` token: a study name or a comma-joined list."""
     studies = [item for item in value.split(",") if item]
@@ -130,7 +144,7 @@ def _add_job_options(parser: argparse.ArgumentParser, *,
     elif backend == "many":
         parser.add_argument(
             "--backend", dest="backends", nargs="+", default=None,
-            type=_name_list, metavar="BACKEND",
+            action=_FlatList, type=_name_list, metavar="BACKEND",
             help="execution backends to grid over, space- or comma-"
                  "separated (default: each kernel's own default backend); "
                  "every kernel must support every listed backend",
@@ -139,11 +153,67 @@ def _add_job_options(parser: argparse.ArgumentParser, *,
 
 def _add_studies(parser: argparse.ArgumentParser, what: str) -> None:
     parser.add_argument(
-        "--studies", nargs="+", default=[["timing"]], type=_study_list,
-        metavar="STUDY",
+        "--studies", nargs="+", default=["timing"], action=_FlatList,
+        type=_study_list, metavar="STUDY",
         help=f"studies {what}, space- or comma-separated (default: "
              f"timing; choices: {', '.join(study_names())})",
     )
+
+
+#: Options several subcommands share: flag -> ``add_argument`` keywords
+#: minus the default, which each subcommand passes to :func:`_add_options`.
+_SHARED_OPTIONS = {
+    "--jobs": dict(
+        type=int, metavar="N",
+        help="executor worker processes (default %(default)s: serial, "
+             "deterministic; N>1 runs jobs in parallel with per-job "
+             "failure isolation)"),
+    "--timeout": dict(
+        type=float, metavar="SECONDS",
+        help="per-job time limit (enforced in worker processes: --jobs "
+             "> 1 or process isolation)"),
+    "--reuse": dict(
+        action="store_true",
+        help="serve cache hits from the shared result cache "
+             "(benchmarks/results/cache/) and write fresh reports back"),
+    "--workers": dict(
+        type=int, metavar="N",
+        help="service worker threads (default %(default)s)"),
+    "--queue-limit": dict(
+        type=int, metavar="N",
+        help="admission-control high-water mark (default %(default)s)"),
+    "--isolation": dict(
+        choices=("process", "inline"),
+        help="run each execution in an executor worker process "
+             "(default; demonstrates cross-process stitching) or inline "
+             "on the service worker thread"),
+    "--no-reuse": dict(
+        action="store_true",
+        help="skip the shared result cache (still coalesces in-flight "
+             "duplicates)"),
+    "--metrics-out": dict(
+        metavar="PATH", help="write the service metrics dump as JSON"),
+    "--telemetry-port": dict(
+        type=int, metavar="PORT",
+        help="expose /metrics,/healthz,/readyz on 127.0.0.1:PORT while "
+             "serving (0 = ephemeral, printed)"),
+    "--manifest": dict(
+        metavar="NAME_OR_PATH",
+        help="manifest name under benchmarks/manifests/ or a TOML path "
+             "(default: %(default)s)"),
+    "--dir": dict(
+        metavar="DIR",
+        help="directory holding sweep.json; report tables are written "
+             "next to it (default: %(default)s)"),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, **defaults) -> None:
+    """Add shared options by dest (``queue_limit`` is ``--queue-limit``),
+    each with this subcommand's default."""
+    for dest, default in defaults.items():
+        flag = "--" + dest.replace("_", "-")
+        parser.add_argument(flag, default=default, **_SHARED_OPTIONS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,20 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_studies(run, "to run")
     _add_job_options(run, scale=1.0, scenario="one", machine=True,
                      backend="one")
-    run.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (default 1: serial, deterministic; N>1 "
-             "runs kernels in parallel with per-kernel failure isolation)",
-    )
-    run.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-kernel time limit (enforced when --jobs > 1)",
-    )
-    run.add_argument(
-        "--reuse", action="store_true",
-        help="serve cache hits from benchmarks/results/cache/ and write "
-             "fresh reports back",
-    )
+    _add_options(run, jobs=1, timeout=None, reuse=False)
     run.add_argument(
         "--stream", action="store_true",
         help="bounded-memory mode: derive kernel inputs in chunks "
@@ -249,37 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_studies(submit, "per request")
     _add_job_options(submit, scale=1.0, scenario="one", machine=True,
                      backend="one")
-    submit.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="service worker threads (default 2)",
-    )
-    submit.add_argument(
-        "--queue-limit", type=int, default=64, metavar="N",
-        help="admission-control high-water mark (default 64)",
-    )
-    submit.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-job limit (enforced under process isolation)",
-    )
-    submit.add_argument(
-        "--isolation", choices=("process", "inline"), default="process",
-        help="run each execution in an executor worker process "
-             "(default) or inline on the service worker thread",
-    )
-    submit.add_argument(
-        "--no-reuse", action="store_true",
-        help="skip the shared result cache (still coalesces in-flight "
-             "duplicates)",
-    )
-    submit.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="write the service metrics dump as JSON",
-    )
-    submit.add_argument(
-        "--telemetry-port", type=int, default=None, metavar="PORT",
-        help="expose /metrics,/healthz,/readyz on 127.0.0.1:PORT for "
-             "the duration of the run (0 = ephemeral)",
-    )
+    _add_options(submit, workers=2, queue_limit=64, timeout=None,
+                 isolation="process", no_reuse=False, metrics_out=None,
+                 telemetry_port=None)
 
     serve_bench = serve_commands.add_parser(
         "bench",
@@ -288,28 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_bench.add_argument("--requests", type=int, default=500)
     _add_job_options(serve_bench, scale=0.05)
-    serve_bench.add_argument("--workers", type=int, default=4)
-    serve_bench.add_argument(
-        "--queue-limit", type=int, default=32,
-        help="admission-control high-water mark (default 32; small "
-             "enough that backpressure is exercised)",
-    )
-    serve_bench.add_argument(
-        "--isolation", choices=("process", "inline"), default="process",
-    )
+    # A small --queue-limit so backpressure is exercised.
+    _add_options(serve_bench, workers=4, queue_limit=32,
+                 isolation="process", metrics_out=None,
+                 telemetry_port=None)
     serve_bench.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="result-store root for the replay (default: a fresh "
              "temporary directory, so rates are measured from cold)",
-    )
-    serve_bench.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="write the service metrics dump as JSON",
-    )
-    serve_bench.add_argument(
-        "--telemetry-port", type=int, default=None, metavar="PORT",
-        help="expose /metrics,/healthz,/readyz on 127.0.0.1:PORT during "
-             "the replay (0 = ephemeral)",
     )
 
     serve_up = serve_commands.add_parser(
@@ -322,22 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="requests to submit (and wait for) once the service is up",
     )
     _add_job_options(serve_up, scale=0.05, scenario="one", machine=True)
-    serve_up.add_argument("--workers", type=int, default=2)
-    serve_up.add_argument(
-        "--isolation", choices=("process", "inline"), default="process",
-    )
-    serve_up.add_argument(
-        "--telemetry-port", type=int, default=0, metavar="PORT",
-        help="telemetry endpoint port (default 0: ephemeral, printed)",
-    )
+    _add_options(serve_up, workers=2, isolation="process",
+                 telemetry_port=0, no_reuse=False)
     serve_up.add_argument(
         "--duration", type=float, default=60.0, metavar="SECONDS",
         help="how long to keep serving after submissions complete "
              "(default 60; Ctrl-C exits early)",
-    )
-    serve_up.add_argument(
-        "--no-reuse", action="store_true",
-        help="skip the shared result cache",
     )
 
     serve_status = serve_commands.add_parser(
@@ -362,13 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_trace.add_argument("kernel", metavar="KERNEL")
     _add_job_options(serve_trace, scale=0.25, scenario="one", machine=True)
     _add_studies(serve_trace, "for the request")
-    serve_trace.add_argument(
-        "--isolation", choices=("process", "inline"), default="process",
-        help="process (default) demonstrates cross-process stitching",
-    )
-    serve_trace.add_argument(
-        "--timeout", type=float, default=600.0, metavar="SECONDS",
-    )
+    _add_options(serve_trace, isolation="process", timeout=600.0)
     serve_trace.add_argument(
         "--out", default=None, metavar="PATH",
         help="Chrome trace output path (default: <kernel>.trace.json)",
@@ -462,27 +461,21 @@ def build_parser() -> argparse.ArgumentParser:
         "expand",
         help="expand a manifest and print its cells (no kernels run)",
     )
-    sweep_expand.add_argument(
-        "--manifest", default="matrix", metavar="NAME_OR_PATH",
-        help="manifest name under benchmarks/manifests/ or a TOML path "
-             "(default: matrix)",
-    )
+    _add_options(sweep_expand, manifest="matrix")
     _add_job_options(sweep_expand, backend="many")
     sweep_run = sweep_commands.add_parser(
         "run", help="run a kernel × cell × scale grid and save sweep.json"
     )
+    _add_options(sweep_run, manifest="matrix")
     sweep_run.add_argument(
-        "--manifest", default="matrix", metavar="NAME_OR_PATH",
-        help="manifest to sweep (default: matrix)",
-    )
-    sweep_run.add_argument(
-        "--kernels", nargs="+", required=True, type=_name_list,
-        metavar="KERNEL",
+        "--kernels", nargs="+", required=True, action=_FlatList,
+        type=_name_list, metavar="KERNEL",
         help="kernels to grid over, space- or comma-separated",
     )
     sweep_run.add_argument(
-        "--cells", nargs="+", default=None, type=_name_list,
-        metavar="CELL", help="restrict to these manifest cells",
+        "--cells", nargs="+", default=None, action=_FlatList,
+        type=_name_list, metavar="CELL",
+        help="restrict to these manifest cells",
     )
     _add_studies(sweep_run, "per grid point (paper-fidelity cells get "
                             "their gate studies added automatically)")
@@ -495,33 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="dataset seeds (default: 0)",
     )
     _add_job_options(sweep_run, machine=True, backend="many")
-    sweep_run.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="executor worker processes (default 1)",
-    )
-    sweep_run.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-job time limit (enforced when --jobs > 1)",
-    )
-    sweep_run.add_argument(
-        "--reuse", action="store_true",
-        help="serve grid points from the shared result cache and write "
-             "fresh reports back",
-    )
-    sweep_run.add_argument(
-        "--dir", default="benchmarks/results/sweep", metavar="DIR",
-        help="output directory for sweep.json "
-             "(default: benchmarks/results/sweep)",
-    )
+    _add_options(sweep_run, jobs=1, timeout=None, reuse=False,
+                 dir="benchmarks/results/sweep")
     sweep_report = sweep_commands.add_parser(
         "report",
         help="aggregate a saved sweep into summary + leaderboard tables",
     )
-    sweep_report.add_argument(
-        "--dir", default="benchmarks/results/sweep", metavar="DIR",
-        help="directory holding sweep.json; tables are written next to "
-             "it (default: benchmarks/results/sweep)",
-    )
+    _add_options(sweep_report, dir="benchmarks/results/sweep")
     return parser
 
 
@@ -578,23 +551,17 @@ def _command_run(args: argparse.Namespace) -> int:
     kernels = list(args.kernels) + list(args.kernels_opt or [])
     if not kernels:
         kernels = list(SUITE_KERNELS)
-    studies = [study for token in args.studies for study in token]
+    studies = args.studies
     tracer = Tracer() if args.trace_out else None
-    try:
-        with trace.use(tracer) if tracer else _null_context():
-            reports = run_suite(
-                tuple(kernels), studies=tuple(studies),
-                scale=args.scale, seed=args.seed,
-                cache_config=MACHINES[args.machine],
-                jobs=args.jobs, timeout=args.timeout, reuse=args.reuse,
-                scenario=args.scenario, stream=args.stream,
-                backend=args.backend,
-            )
-    except ReproError as error:
-        # Compile-time rejections (unknown kernel, unsupported backend)
-        # deserve a one-liner, not a traceback.
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    with trace.use(tracer) if tracer else _null_context():
+        reports = run_suite(
+            tuple(kernels), studies=tuple(studies),
+            scale=args.scale, seed=args.seed,
+            cache_config=MACHINES[args.machine],
+            jobs=args.jobs, timeout=args.timeout, reuse=args.reuse,
+            scenario=args.scenario, stream=args.stream,
+            backend=args.backend,
+        )
     if tracer is not None:
         # Fold in spans shipped back from worker processes (parallel
         # runs); merge_records drops the parent's own duplicates.
@@ -774,7 +741,7 @@ def _print_service_summary(service, metrics_out: str | None) -> None:
 def _command_serve_submit(args: argparse.Namespace) -> int:
     from repro.serve import BenchService
 
-    studies = tuple(study for token in args.studies for study in token)
+    studies = tuple(args.studies)
     service = BenchService(
         workers=args.workers, max_queue=args.queue_limit,
         timeout=args.timeout, isolation=args.isolation,
@@ -784,19 +751,15 @@ def _command_serve_submit(args: argparse.Namespace) -> int:
     with service:
         if service.telemetry is not None:
             print(f"telemetry at {service.telemetry.url}")
-        try:
-            handles = [
-                service.submit(
-                    kernel, studies=studies, scale=args.scale,
-                    seed=args.seed, scenario=args.scenario,
-                    cache_config=MACHINES[args.machine],
-                    backend=args.backend,
-                )
-                for kernel in args.kernels
-            ]
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        handles = [
+            service.submit(
+                kernel, studies=studies, scale=args.scale,
+                seed=args.seed, scenario=args.scenario,
+                cache_config=MACHINES[args.machine],
+                backend=args.backend,
+            )
+            for kernel in args.kernels
+        ]
         rows = []
         failures = 0
         for handle in handles:
@@ -930,7 +893,7 @@ def _command_serve_trace(args: argparse.Namespace) -> int:
     from repro.obs.context import stitch_trace
     from repro.serve import BenchService
 
-    studies = tuple(study for token in args.studies for study in token)
+    studies = tuple(args.studies)
     tracer = Tracer()
     with trace.use(tracer):
         with BenchService(workers=1, isolation=args.isolation,
@@ -1058,8 +1021,7 @@ def _command_sweep_expand(args: argparse.Namespace) -> int:
     paper = manifest.paper_cells()
     print(f"\n{len(paper)} paper-fidelity cell(s): "
           f"{', '.join(cell.name for cell in paper) or '-'}")
-    backends = (tuple(b for token in args.backends for b in token)
-                if args.backends else ())
+    backends = args.backends or ()
     if backends:
         print(f"backend axis: {', '.join(backends)} — a sweep over this "
               f"manifest grids {len(manifest.cells)} cells x "
@@ -1070,16 +1032,13 @@ def _command_sweep_expand(args: argparse.Namespace) -> int:
 def _command_sweep_run(args: argparse.Namespace) -> int:
     from repro.sweep import compile_sweep, run_sweep, save_sweep
 
-    kernels = tuple(k for token in args.kernels for k in token)
-    cells = (tuple(c for token in args.cells for c in token)
-             if args.cells else None)
-    studies = tuple(study for token in args.studies for study in token)
-    backends = (tuple(b for token in args.backends for b in token)
-                if args.backends else None)
     plan = compile_sweep(
-        args.manifest, kernels=kernels, studies=studies,
-        scales=tuple(args.scales), seeds=tuple(args.seeds), cells=cells,
-        cache_config=MACHINES[args.machine], backends=backends,
+        args.manifest, kernels=tuple(args.kernels),
+        studies=tuple(args.studies), scales=tuple(args.scales),
+        seeds=tuple(args.seeds),
+        cells=tuple(args.cells) if args.cells else None,
+        cache_config=MACHINES[args.machine],
+        backends=tuple(args.backends) if args.backends else None,
     )
     print(f"sweep: {len(plan)} grid points "
           f"({len(set(plan.cells))} cells x {len(plan.kernels)} kernels "
@@ -1135,12 +1094,21 @@ def _command_sweep_report(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command: ``repro X`` is handled by ``_command_X`` and
-    ``repro X Y`` (serve, obs, sweep) by ``_command_X_Y``."""
+    ``repro X Y`` (serve, obs, sweep) by ``_command_X_Y``.
+
+    A rejected request (unknown kernel, study, scenario or cell, an
+    unsupported backend) prints one ``error:`` line, not a traceback,
+    and exits 1 (``serve submit``: 2).
+    """
     args = build_parser().parse_args(argv)
     command = args.command
     if command in ("serve", "obs", "sweep"):
         command += "_" + getattr(args, f"{command}_command")
-    return globals()[f"_command_{command}"](args)
+    try:
+        return globals()[f"_command_{command}"](args)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2 if command == "serve_submit" else 1
 
 
 if __name__ == "__main__":

@@ -49,7 +49,7 @@ from repro.data.streaming import streaming_mode
 from repro.errors import KernelError
 from repro.harness.runner import KernelReport, run_kernel_studies
 from repro.harness.studies import create_study
-from repro.kernels.base import KERNEL_REGISTRY, resolve_backend
+from repro.kernels.base import resolve_backend
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 from repro.obs.context import TraceContext, annotate_records
@@ -102,17 +102,6 @@ class ExecutionPlan:
         return len(self.jobs)
 
 
-def validate_names(kernels: tuple[str, ...],
-                   studies: tuple[str, ...]) -> None:
-    """Raise :class:`KernelError` on unknown kernel or study names."""
-    for study in studies:
-        create_study(study)  # raises KernelError on unknown studies
-    for name in kernels:
-        if name not in KERNEL_REGISTRY:
-            known = ", ".join(sorted(KERNEL_REGISTRY))
-            raise KernelError(f"unknown kernel {name!r}; known: {known}")
-
-
 def compile_plan(
     kernels: tuple[str, ...],
     studies: tuple[str, ...] = ("timing",),
@@ -130,7 +119,8 @@ def compile_plan(
     :class:`KernelError` otherwise), so a mixed-capability suite request
     fails at compile time, not mid-run.
     """
-    validate_names(tuple(kernels), tuple(studies))
+    for study in studies:
+        create_study(study)  # unknown study raises
     scenario_spec(scenario, scale=scale, seed=seed)  # unknown scenario raises
     return ExecutionPlan(
         jobs=tuple(

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import repro
 from repro.errors import KernelError
-from repro.harness.studies import create_study, study_names
+from repro.harness.studies import create_study
 from repro.kernels.base import create_kernel, kernel_names
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
@@ -44,12 +44,6 @@ from repro.uarch.machine import TraceMachine
 #: v4: the backend plane — reports carry the execution ``backend`` and
 #: it joins the cache key, so pre-backend cached reports invalidate.
 SCHEMA_VERSION = 4
-
-
-#: The built-in study names (the old harness's hard-coded tuple, now a
-#: snapshot of ``STUDY_REGISTRY``; use ``study_names()`` for a live view
-#: that includes studies registered after import).
-ALL_STUDIES = study_names()
 
 
 @dataclass
@@ -214,8 +208,8 @@ def run_suite(
       ``store`` (default: the
       :class:`~repro.serve.shards.ShardedResultStore` under
       ``benchmarks/results/cache/``).
-    * ``scenario`` — named dataset scenario from
-      :data:`repro.data.SCENARIO_REGISTRY` every kernel prepares on.
+    * ``scenario`` — the installed manifest cell
+      (:data:`repro.data.INSTALLED_CELLS`) every kernel prepares on.
     * ``stream`` — bounded-memory mode: derived kernel inputs arrive as
       chunked :class:`~repro.data.streaming.ChunkedSeries` views instead
       of monolithic lists; reports are bit-identical either way.

@@ -6,7 +6,8 @@ Table 3's per-kernel inputs), ``run`` executes the extracted hot code
 under an optional :class:`~repro.uarch.events.MachineProbe`, and
 ``validate`` self-checks the outputs against an oracle where one exists.
 
-``KERNEL_REGISTRY`` is the suite's ``mainRun.py``-style entry point.
+``KERNEL_REGISTRY`` (name -> kernel class) is the suite's
+``mainRun.py``-style entry point.
 
 Execution variants are selected through the **backend plane**: every
 kernel declares the backends it implements (``SUPPORTED_BACKENDS``) and
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.backends import BACKENDS, GPU, SCALAR, VECTORIZED
 from repro.data import DatasetSpec, SuiteData, default_store, scenario_spec
@@ -32,8 +32,8 @@ from repro.uarch.events import NULL_PROBE, MachineProbe
 
 __all__ = [
     "BACKENDS", "GPU", "SCALAR", "VECTORIZED",
-    "KERNEL_CLASSES", "KERNEL_REGISTRY", "Kernel", "KernelResult",
-    "create_kernel", "kernel_backends", "kernel_names", "register",
+    "KERNEL_REGISTRY", "Kernel", "KernelResult", "create_kernel",
+    "kernel_backends", "kernel_names", "register",
     "resolve_backend",
 ]
 
@@ -167,10 +167,8 @@ def _validate_backend(cls: type[Kernel], backend: str | None) -> str:
     return backend
 
 
-#: name -> factory (scale, seed, scenario, backend) -> Kernel
-KERNEL_REGISTRY: dict[str, Callable[..., Kernel]] = {}
-#: name -> kernel class, for backend resolution without instantiation.
-KERNEL_CLASSES: dict[str, type[Kernel]] = {}
+#: name -> kernel class: the one registry every lookup goes through.
+KERNEL_REGISTRY: dict[str, type[Kernel]] = {}
 
 
 def register(cls: type[Kernel]) -> type[Kernel]:
@@ -183,20 +181,17 @@ def register(cls: type[Kernel]) -> type[Kernel]:
         raise KernelError(
             f"kernel {cls.name!r} default backend {cls.DEFAULT_BACKEND!r} "
             f"is not in SUPPORTED_BACKENDS {cls.SUPPORTED_BACKENDS}")
-    KERNEL_REGISTRY[cls.name] = (
-        lambda scale=1.0, seed=0, scenario="default", backend=None: cls(
-            scale=scale, seed=seed, scenario=scenario, backend=backend
-        )
-    )
-    KERNEL_CLASSES[cls.name] = cls
+    KERNEL_REGISTRY[cls.name] = cls
     return cls
 
 
-def _kernel_class(name: str) -> type[Kernel]:
+def _lookup(name: str) -> type[Kernel]:
+    """The registered kernel class *name*: the one lookup, so every
+    caller raises the same :class:`~repro.errors.KernelError`."""
     try:
-        return KERNEL_CLASSES[name]
+        return KERNEL_REGISTRY[name]
     except KeyError:
-        known = ", ".join(sorted(KERNEL_CLASSES))
+        known = ", ".join(sorted(KERNEL_REGISTRY))
         raise KernelError(f"unknown kernel {name!r}; known: {known}") from None
 
 
@@ -204,12 +199,8 @@ def create_kernel(name: str, scale: float = 1.0, seed: int = 0,
                   scenario: str = "default",
                   backend: str | None = None) -> Kernel:
     """Instantiate a registered kernel by name."""
-    try:
-        factory = KERNEL_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(KERNEL_REGISTRY))
-        raise KernelError(f"unknown kernel {name!r}; known: {known}") from None
-    return factory(scale, seed, scenario, backend)
+    return _lookup(name)(scale=scale, seed=seed, scenario=scenario,
+                         backend=backend)
 
 
 def resolve_backend(name: str, backend: str | None = None) -> str:
@@ -221,12 +212,12 @@ def resolve_backend(name: str, backend: str | None = None) -> str:
     keys always carry the resolved name (an explicit default and an
     implicit one share a digest).
     """
-    return _validate_backend(_kernel_class(name), backend)
+    return _validate_backend(_lookup(name), backend)
 
 
 def kernel_backends(name: str) -> tuple[str, ...]:
     """The backends kernel *name* declares, oracle-first."""
-    return _kernel_class(name).SUPPORTED_BACKENDS
+    return _lookup(name).SUPPORTED_BACKENDS
 
 
 def kernel_names() -> list[str]:

@@ -45,18 +45,13 @@ import json
 import os
 import re
 import shutil
-import tempfile
 import threading
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
-try:  # pragma: no cover - platform guard
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
-
+from repro.data.store import atomic_write_bytes, file_lock
 from repro.harness.runner import SCHEMA_VERSION, KernelReport
 from repro.harness.store import default_cache_dir, job_digest, job_key
 from repro.obs import metrics
@@ -79,37 +74,6 @@ def _env_int(name: str) -> int | None:
         return int(value)
     except ValueError:
         return None
-
-
-@contextmanager
-def _flocked(path: Path) -> Iterator[None]:
-    """Hold an exclusive advisory lock on *path* (created if absent)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle = os.open(path, os.O_CREAT | os.O_RDWR)
-    try:
-        if fcntl is not None:
-            fcntl.flock(handle, fcntl.LOCK_EX)
-        yield
-    finally:
-        if fcntl is not None:
-            fcntl.flock(handle, fcntl.LOCK_UN)
-        os.close(handle)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                        prefix=path.name + ".tmp")
-    try:
-        with os.fdopen(handle, "w") as tmp:
-            tmp.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 class ShardedResultStore:
@@ -166,8 +130,8 @@ class ShardedResultStore:
         return payload
 
     def _write_index(self, index: dict) -> None:
-        _atomic_write_text(self._index_path,
-                           json.dumps(index, sort_keys=True))
+        atomic_write_bytes(self._index_path,
+                           json.dumps(index, sort_keys=True).encode())
 
     def _rebuild_index(self) -> dict:
         """Reconstruct the LRU index by scanning the shards (used when
@@ -219,7 +183,7 @@ class ShardedResultStore:
     @contextmanager
     def _index(self) -> Iterator[dict]:
         """Exclusive read-modify-write access to the on-disk index."""
-        with self._mutex, _flocked(self._lock_path):
+        with self._mutex, file_lock(self._lock_path):
             index = self._read_index()
             yield index
             self._write_index(index)
@@ -267,8 +231,8 @@ class ShardedResultStore:
             "job": key,
             "report": asdict(report),
         }
-        _atomic_write_text(path, json.dumps(payload, indent=2,
-                                            sort_keys=True))
+        atomic_write_bytes(path, json.dumps(payload, indent=2,
+                                            sort_keys=True).encode())
         with self._index() as index:
             index["clock"] += 1
             index["entries"][digest] = {
@@ -394,7 +358,7 @@ class ShardedResultStore:
         removed = 0
         if not self.root.is_dir():
             return removed
-        with self._mutex, _flocked(self._lock_path):
+        with self._mutex, file_lock(self._lock_path):
             for entry in list(self.root.iterdir()):
                 if entry.is_dir():
                     removed += sum(1 for p in entry.glob("*.json")

@@ -2,7 +2,8 @@
 
 ``compile_sweep`` takes a scenario :class:`~repro.data.manifest.Manifest`
 (a name under ``benchmarks/manifests/`` or a path), installs its cells
-into the scenario registry, and expands a grid of executor
+as runtime scenarios (:func:`~repro.data.manifest.install_manifest`),
+and expands a grid of executor
 :class:`~repro.harness.executor.Job`\\ s — one per
 ``kernel × cell × scale × seed`` point, validated up front so a typo'd
 kernel or study fails before anything runs.  Cells the manifest flags
@@ -35,14 +36,9 @@ from typing import TYPE_CHECKING
 
 from repro.data.manifest import Manifest, install_manifest, resolve_manifest
 from repro.errors import SweepError
-from repro.harness.executor import (
-    EXECUTED,
-    Job,
-    JobOutcome,
-    execute_jobs,
-    validate_names,
-)
+from repro.harness.executor import EXECUTED, Job, JobOutcome, execute_jobs
 from repro.harness.runner import SCHEMA_VERSION, KernelReport, run_metadata
+from repro.harness.studies import create_study
 from repro.kernels.base import resolve_backend
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
@@ -91,9 +87,9 @@ def compile_sweep(
     """Compile a ``kernel × cell × scale × seed × backend`` grid.
 
     *manifest* may be a parsed :class:`Manifest`, a registered manifest
-    name, or a TOML path; its cells are installed into the scenario
-    registry so the executor (and the result cache's dataset digests)
-    can resolve them.  *cells* restricts the grid to a subset of cell
+    name, or a TOML path; its cells are installed as runtime scenarios
+    so the executor (and the result cache's dataset digests) can
+    resolve them.  *cells* restricts the grid to a subset of cell
     names; paper-fidelity cells get their gate studies unioned in.
 
     *backends* adds an execution-backend axis (``None``: one implicit
@@ -108,7 +104,8 @@ def compile_sweep(
     studies = tuple(studies)
     if not kernels:
         raise SweepError("a sweep needs at least one kernel")
-    validate_names(kernels, studies)
+    for study in studies:
+        create_study(study)  # unknown study raises
     for scale in scales:
         if not scale > 0:
             raise SweepError(f"sweep scales must be > 0, got {scale!r}")

@@ -1,4 +1,4 @@
-"""Scenario manifests: parsing, grid expansion, and registry install."""
+"""Scenario manifests: parsing, grid expansion, and install."""
 
 import dataclasses
 
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import (
-    SCENARIO_REGISTRY,
+    INSTALLED_CELLS,
     DatasetSpec,
     available_manifests,
     install_manifest,
@@ -32,12 +32,12 @@ LEGACY_DIGESTS = {
 
 @pytest.fixture(autouse=True)
 def _registry_snapshot():
-    """Installing manifests mutates the global scenario registry;
-    restore it so these tests can't leak cells into others."""
-    saved = dict(SCENARIO_REGISTRY)
+    """Installing manifests mutates the global installed cells;
+    restore them so these tests can't leak cells into others."""
+    saved = dict(INSTALLED_CELLS)
     yield
-    SCENARIO_REGISTRY.clear()
-    SCENARIO_REGISTRY.update(saved)
+    INSTALLED_CELLS.clear()
+    INSTALLED_CELLS.update(saved)
 
 
 class TestSuiteManifest:
@@ -216,15 +216,16 @@ rate_scale = {snp = 2.0}
 
 class TestInstall:
     def test_install_is_idempotent(self):
-        before = dict(SCENARIO_REGISTRY)
+        before = dict(INSTALLED_CELLS)
         install_manifest(SUITE_MANIFEST)
-        assert dict(SCENARIO_REGISTRY) == before
+        assert dict(INSTALLED_CELLS) == before
 
     def test_install_adds_cells(self):
         install_manifest(loads_manifest(MINIMAL))
         assert scenario_spec("p4-d2").n_haplotypes == 4
-        assert SCENARIO_REGISTRY["p8-d1"].fidelity == "paper"
-        assert SCENARIO_REGISTRY["p8-d1"].axes == {"pop": "p8", "div": "d1"}
+        assert INSTALLED_CELLS["p8-d1"].fidelity == "paper"
+        assert dict(INSTALLED_CELLS["p8-d1"].axes) == {"pop": "p8",
+                                                       "div": "d1"}
 
     def test_name_collision_with_different_content_raises(self):
         with pytest.raises(ManifestError, match="collides"):

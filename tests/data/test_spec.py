@@ -1,19 +1,18 @@
-"""DatasetSpec content hashing and the scenario registry."""
+"""DatasetSpec content hashing and the installed scenarios."""
 
 import dataclasses
 
 import pytest
 
 from repro.data import (
-    SCENARIO_REGISTRY,
+    INSTALLED_CELLS,
     DatasetSpec,
-    Scenario,
-    get_scenario,
-    register_scenario,
+    install_manifest,
+    loads_manifest,
     scenario_names,
     scenario_spec,
 )
-from repro.errors import DatasetError
+from repro.errors import DatasetError, ManifestError
 
 
 class TestSpec:
@@ -82,7 +81,7 @@ class TestScenarios:
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(DatasetError):
-            get_scenario("nope")
+            scenario_spec("nope")
 
     def test_unknown_scenario_message_lists_sorted_names(self):
         with pytest.raises(DatasetError, match="unknown scenario") as info:
@@ -98,10 +97,15 @@ class TestScenarios:
             scenario_spec("default", scale=scale)
 
     def test_duplicate_registration_rejected(self):
-        with pytest.raises(DatasetError):
-            register_scenario(Scenario("default", "again"))
+        with pytest.raises(ManifestError, match="collides"):
+            install_manifest(loads_manifest(
+                "[manifest]\nname = 'again'\n[cells.default]\n"
+                "description = 'again'\nn_haplotypes = 3"))
+        assert scenario_spec("default").n_haplotypes != 3
 
     def test_bad_overrides_rejected_at_registration(self):
-        with pytest.raises(DatasetError):
-            register_scenario(Scenario("broken", "bad", {"n_haplotypes": 0}))
-        assert "broken" not in SCENARIO_REGISTRY
+        with pytest.raises(ManifestError, match="invalid spec"):
+            install_manifest(loads_manifest(
+                "[manifest]\nname = 'bad'\n[cells.broken]\n"
+                "n_haplotypes = 0"))
+        assert "broken" not in INSTALLED_CELLS

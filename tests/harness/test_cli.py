@@ -6,7 +6,6 @@ import re
 import pytest
 
 from repro.data import ArtifactStore, use_store
-from repro.errors import SweepError
 from repro.harness.cli import build_parser, main
 
 
@@ -85,7 +84,7 @@ class TestCli:
 
     def test_gpu_is_a_known_study(self):
         args = build_parser().parse_args(["run", "tsu", "--studies", "gpu"])
-        assert args.studies[-1] == ["gpu"]
+        assert args.studies == ["gpu"]
 
     def test_run_scenario(self, capsys):
         assert main([
@@ -255,12 +254,14 @@ class TestSweepCli:
         assert "\tpaper\t" in lines[1]  # suite default is a paper cell
         assert "\tok\t" in lines[1]     # ... whose gates pass for real
 
-    def test_run_unknown_cell_fails_fast(self, tmp_path):
-        with pytest.raises(SweepError, match="no cell"):
-            main([
-                "sweep", "run", "--manifest", "suite", "--kernels", "tsu",
-                "--cells", "nope", "--dir", str(tmp_path),
-            ])
+    def test_run_unknown_cell_fails_fast(self, capsys, tmp_path):
+        assert main([
+            "sweep", "run", "--manifest", "suite", "--kernels", "tsu",
+            "--cells", "nope", "--dir", str(tmp_path),
+        ]) == 1
+        assert "error: manifest 'suite' has no cell(s) 'nope'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "sweep.json").exists()
 
     def test_comma_separated_kernel_lists(self, capsys, tmp_path):
         out_dir = tmp_path / "sweep"

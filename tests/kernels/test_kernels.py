@@ -37,6 +37,30 @@ class TestRegistry:
         with pytest.raises(KernelError):
             create_kernel("nope")
 
+    def test_unregistered_kernel_is_unknown_everywhere(self):
+        """Popping a kernel from the registry unregisters it for every
+        lookup, and every lookup raises the same error."""
+        from repro.harness.executor import compile_plan
+        from repro.kernels import TCKernel, kernel_backends, resolve_backend
+        from repro.kernels.base import KERNEL_REGISTRY, register
+
+        @register
+        class GoneKernel(TCKernel):
+            name = "gone"
+
+        assert resolve_backend("gone") == GoneKernel.DEFAULT_BACKEND
+        KERNEL_REGISTRY.pop("gone")
+        messages = set()
+        for lookup in (lambda: create_kernel("gone"),
+                       lambda: resolve_backend("gone"),
+                       lambda: kernel_backends("gone"),
+                       lambda: compile_plan(("gone",))):
+            with pytest.raises(KernelError, match="unknown kernel 'gone'") \
+                    as info:
+                lookup()
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
     def test_bad_scale_rejected(self):
         with pytest.raises(KernelError):
             create_kernel("gssw", scale=0)

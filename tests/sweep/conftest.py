@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.data import SCENARIO_REGISTRY
+from repro.data import INSTALLED_CELLS
 
 
 @pytest.fixture(autouse=True)
 def _registry_snapshot():
-    """compile_sweep installs manifest cells into the global scenario
-    registry; restore it after each test so nothing leaks."""
-    saved = dict(SCENARIO_REGISTRY)
+    """compile_sweep installs manifest cells as global scenarios;
+    restore the installed set after each test so nothing leaks."""
+    saved = dict(INSTALLED_CELLS)
     yield
-    SCENARIO_REGISTRY.clear()
-    SCENARIO_REGISTRY.update(saved)
+    INSTALLED_CELLS.clear()
+    INSTALLED_CELLS.update(saved)

@@ -37,7 +37,7 @@ BENCH_SCENARIO = "default"
 CHAR_STUDIES = ("topdown", "cache", "instmix")
 
 #: Result store shared by every bench (and the CLI's --reuse) — the
-#: sharded, LRU-indexed store.
+#: sharded, LRU-bounded store.
 STORE = ShardedResultStore(RESULTS_DIR / "cache")
 
 

@@ -21,8 +21,10 @@ occurrence is still running) and later chunks exercise the warm cache —
 one cold trace measures both paths.
 
 Each run appends an entry to ``BENCH_serve_load.json`` at the repo root
-(the committed trajectory) and fails only on a catastrophic regression
-against the best prior entry, so CI noise cannot flake the build.
+(the committed trajectory), stamped with its conditions (CPUs, Python
+and numpy versions, which stores were cold), and fails only on a
+catastrophic regression against the best prior entry, so CI noise
+cannot flake the build.
 
 Runs under plain pytest or standalone:
 ``PYTHONPATH=src python benchmarks/bench_serve_load.py``.
@@ -31,9 +33,12 @@ Runs under plain pytest or standalone:
 from __future__ import annotations
 
 import json
+import os
+import platform
 import tempfile
 from pathlib import Path
 
+import numpy
 from _common import RESULTS_DIR, append_trajectory
 
 from repro import __version__
@@ -135,6 +140,13 @@ def run_experiment() -> dict:
         "wall_seconds": round(result.wall_seconds, 3),
         "requests_per_sec": round(len(trace) / result.wall_seconds, 1),
         "serve_counters": _serve_counter_totals(exported),
+        "conditions": {
+            "nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "result_store": "fresh temporary directory",
+            "data_store": "corpora built before the replay",
+        },
     }
 
 

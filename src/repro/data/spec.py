@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.errors import DatasetError
 from repro.sequence.mutate import VariantRates
@@ -33,6 +33,12 @@ GENERATOR_VERSION = 1
 #: M-graph (~27 bp/node) for the default population size.
 SUITE_RATES = VariantRates(snp=0.004, insertion=0.0008, deletion=0.0008,
                            inversion=0.00005, duplication=0.00005)
+
+
+def field_dict(instance) -> dict:
+    """A dataclass's fields as a shallow dict: ``asdict`` without the
+    deep copy, for content keys built on every cache lookup."""
+    return {f.name: getattr(instance, f.name) for f in fields(instance)}
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,8 @@ class DatasetSpec:
 
     def key(self) -> dict:
         """The canonical content-key payload (JSON-able, sorted)."""
-        payload = asdict(self)
+        payload = field_dict(self)
+        payload["rates"] = field_dict(self.rates)
         payload["generator_version"] = GENERATOR_VERSION
         return payload
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -54,6 +53,7 @@ def job_key(job: "Job") -> dict:
     the same kernel never collide.
     """
     from repro.data import scenario_spec
+    from repro.data.spec import field_dict
     from repro.errors import KernelError
     from repro.kernels.base import resolve_backend
 
@@ -74,7 +74,7 @@ def job_key(job: "Job") -> dict:
         "dataset": scenario_spec(
             job.scenario, scale=job.scale, seed=job.seed
         ).digest(),
-        "cache_config": asdict(job.cache_config),
+        "cache_config": field_dict(job.cache_config),
         "package_version": repro.__version__,
     }
 

@@ -5,22 +5,27 @@
 :func:`~repro.harness.store.job_digest`.  Every job lookup and save goes
 through :class:`~repro.serve.service.BenchService`, so suite runs,
 sweeps and ``repro serve`` share it.  Reports live in digest-prefix
-shards with an on-disk LRU index and a configurable byte/entry budget::
+shards, evicted least recently used first under a byte/entry budget::
 
     benchmarks/results/cache/
-        index.json            # {"clock", "entries": {digest: {...}}}
-        index.lock            # flock target for cross-process updates
+        index.json            # {"entries": {digest: {"bytes", "kernel", ...}}}
+        index.lock            # flock target for cross-process index updates
         3f/
-            3fa1b2c3d4e5f607.json
+            3fa1b2c3d4e5f607.json   # mtime = last save or hit
         a9/
             a9....json
 
 * **Sharding** — ``<digest[:2]>/<digest>.json`` caps per-directory fanout
   at 256 shards regardless of sweep size.
-* **LRU index** — every hit bumps a logical clock in ``index.json``;
-  eviction removes the least-recently-used entries first.  The index is
-  advisory: if it is missing or corrupt it is rebuilt by scanning the
-  shards, and entry files remain plain per-report JSON.
+* **LRU by mtime** — ``save`` and every hit stamp the entry file's mtime
+  to the current nanosecond (``os.utime``, so coarse filesystem write
+  times never decide the order); eviction removes the oldest first and
+  ``entries()`` lists the newest first, ties broken by digest.  A hit
+  never takes ``index.lock`` or writes ``index.json``, yet every process
+  sharing the directory sees its recency.
+* **Advisory index** — ``index.json`` holds entry sizes and job fields
+  (budgets, ``repro cache list``); a missing or corrupt one is rebuilt
+  from the shards, and one with the older ``clock``/``used`` keys loads.
 * **Budget + background eviction** — ``max_bytes`` / ``max_entries``
   (or ``$REPRO_CACHE_MAX_BYTES`` / ``$REPRO_CACHE_MAX_ENTRIES``) form a
   high-water mark; a save that crosses it schedules eviction on a daemon
@@ -33,8 +38,8 @@ shards with an on-disk LRU index and a configurable byte/entry budget::
   them along with leftover top-level ``<digest>.json`` files from the
   old flat layout, which are never served.
 
-Cross-process safety mirrors the dataset ``ArtifactStore``: index
-read-modify-writes happen under an advisory ``flock`` (plus an
+Cross-process safety mirrors the dataset ``ArtifactStore``: index reads
+and read-modify-writes happen under an advisory ``flock`` (plus an
 in-process mutex), and both index and entries are written atomically
 (temp file + rename).
 """
@@ -46,7 +51,8 @@ import os
 import re
 import shutil
 import threading
-from contextlib import contextmanager
+import time
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -82,8 +88,8 @@ class ShardedResultStore:
     *root* of ``None`` means :func:`~repro.harness.store.default_cache_dir`.
     ``max_bytes`` / ``max_entries`` of ``None`` fall back to the
     ``$REPRO_CACHE_MAX_BYTES`` / ``$REPRO_CACHE_MAX_ENTRIES``
-    environment knobs; both unset means unbounded (shards and the LRU
-    index still apply, eviction never triggers).
+    environment knobs; both unset means unbounded (shards and LRU
+    recency still apply, eviction never triggers).
     """
 
     def __init__(self, root: str | Path | None = None,
@@ -119,37 +125,28 @@ class ShardedResultStore:
     # -- index plumbing ------------------------------------------------
 
     def _read_index(self) -> dict:
+        """The index's ``{digest: meta}`` entries, rebuilt from the
+        shards when ``index.json`` is missing or corrupt."""
         try:
-            payload = json.loads(self._index_path.read_text())
-        except (OSError, ValueError):
-            payload = None
-        if (not isinstance(payload, dict)
-                or not isinstance(payload.get("entries"), dict)):
+            entries = json.loads(self._index_path.read_text())["entries"]
+        except (OSError, ValueError, KeyError, TypeError):
+            entries = None
+        if not isinstance(entries, dict):
             return self._rebuild_index()
-        payload.setdefault("clock", 0)
-        return payload
-
-    def _write_index(self, index: dict) -> None:
-        atomic_write_bytes(self._index_path,
-                           json.dumps(index, sort_keys=True).encode())
+        for meta in entries.values():
+            meta.pop("used", None)  # the older logical-clock format
+        return entries
 
     def _rebuild_index(self) -> dict:
-        """Reconstruct the LRU index by scanning the shards (used when
-        ``index.json`` is missing or corrupt — the entries themselves
-        are the source of truth)."""
-        index: dict = {"clock": 0, "entries": {}}
-        if not self.root.is_dir():
-            return index
-        for entry in sorted(self.root.glob("??/*.json")):
-            if not _DIGEST_NAME.match(entry.name):
-                continue
-            meta = self._entry_meta(entry)
-            if meta is None:
-                continue
-            index["clock"] += 1
-            meta["used"] = index["clock"]
-            index["entries"][entry.stem] = meta
-        return index
+        """Reconstruct the index by scanning the shards (the entries
+        themselves are the source of truth)."""
+        entries: dict = {}
+        for path in self.root.glob("??/*.json"):
+            if _DIGEST_NAME.match(path.name):
+                meta = self._entry_meta(path)
+                if meta is not None:
+                    entries[path.stem] = meta
+        return entries
 
     @staticmethod
     def _payload(path: Path) -> dict | None:
@@ -171,92 +168,76 @@ class ShardedResultStore:
         payload = cls._payload(path)
         if payload is None:
             return None
-        job = payload.get("job") or {}
-        return {
-            "bytes": path.stat().st_size,
-            "kernel": job.get("kernel", "?"),
-            "scenario": job.get("scenario", "?"),
-            "scale": job.get("scale", "?"),
-            "studies": job.get("studies", []),
-        }
+        return _meta(payload.get("job") or {}, path.stat().st_size)
 
     @contextmanager
     def _index(self) -> Iterator[dict]:
-        """Exclusive read-modify-write access to the on-disk index."""
+        """Exclusive read-modify-write access to the index's entries."""
         with self._mutex, file_lock(self._lock_path):
-            index = self._read_index()
-            yield index
-            self._write_index(index)
-            metrics.gauge("serve.cache.bytes").set(float(sum(
-                meta.get("bytes", 0) for meta in index["entries"].values()
-            )))
+            entries = self._read_index()
+            yield entries
+            atomic_write_bytes(self._index_path, json.dumps(
+                {"entries": entries}, sort_keys=True).encode())
+            metrics.gauge("serve.cache.bytes").set(float(_total(entries)))
+
+    def _snapshot(self) -> dict:
+        """The index's entries, read under the lock; writes nothing."""
+        if not self.root.is_dir():
+            return {}
+        with self._mutex, file_lock(self._lock_path):
+            return self._read_index()
+
+    def _lru_order(self, entries: dict) -> list[str]:
+        """*entries*' digests, least recently used (oldest entry mtime)
+        first; ties broken by digest, missing files first of all."""
+        def stamp(digest: str) -> int:
+            try:
+                return self.shard_path(digest).stat().st_mtime_ns
+            except OSError:
+                return -1
+        return sorted(entries, key=lambda digest: (stamp(digest), digest))
 
     # -- load / save ----------------------------------------------------
 
     def load(self, job: "Job") -> KernelReport | None:
-        """The cached report for *job* (bumping its LRU position), or
-        ``None`` on any miss: absent, unreadable, another schema, or a
-        failure record."""
-        digest = job_digest(job)
-        payload = self._payload(self.shard_path(digest))
+        """The cached report for *job*, or ``None`` on any miss: absent,
+        unreadable, another schema, or a failure record.
+
+        A hit stamps the entry's mtime (its LRU position) and touches
+        neither ``index.lock`` nor ``index.json``.  An entry removed
+        between the read and the stamp still returns the report read."""
+        path = self.path(job)
+        payload = self._payload(path)
         record = payload.get("report") if payload is not None else None
         if not isinstance(record, dict) or "kernel" not in record:
             return None
         report = KernelReport.from_dict(record)
         if report.error is not None:
             return None
-        self._touch(digest)
+        with suppress(OSError):
+            _stamp(path)
         return report
-
-    def _touch(self, digest: str) -> None:
-        with self._index() as index:
-            meta = index["entries"].get(digest)
-            if meta is None:  # saved by an older layout scan; re-scan
-                meta = self._entry_meta(self.shard_path(digest))
-                if meta is None:
-                    return
-                index["entries"][digest] = meta
-            index["clock"] += 1
-            meta["used"] = index["clock"]
 
     def save(self, job: "Job", report: KernelReport) -> Path | None:
         """Cache *report* under *job*'s digest (no-op for failures)."""
         if report.error is not None:
             return None
-        digest = job_digest(job)
-        path = self.shard_path(digest)
-        key = job_key(job)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "job": key,
-            "report": asdict(report),
-        }
+        path, key = self.path(job), job_key(job)
+        payload = {"schema_version": SCHEMA_VERSION, "job": key,
+                   "report": asdict(report)}
         atomic_write_bytes(path, json.dumps(payload, indent=2,
                                             sort_keys=True).encode())
-        with self._index() as index:
-            index["clock"] += 1
-            index["entries"][digest] = {
-                "bytes": path.stat().st_size,
-                "kernel": key["kernel"],
-                "scenario": key["scenario"],
-                "scale": key["scale"],
-                "studies": key["studies"],
-                "used": index["clock"],
-            }
+        _stamp(path)
+        with self._index() as entries:
+            entries[path.stem] = _meta(key, path.stat().st_size)
         self._maybe_evict()
         return path
 
     # -- budget / eviction ---------------------------------------------
 
-    def _over_budget(self, index: dict) -> bool:
-        entries = index["entries"]
-        if self.max_entries is not None and len(entries) > self.max_entries:
-            return True
-        if self.max_bytes is not None:
-            total = sum(meta.get("bytes", 0) for meta in entries.values())
-            if total > self.max_bytes:
-                return True
-        return False
+    def _over_budget(self, count: int, total: int) -> bool:
+        return ((self.max_entries is not None and count > self.max_entries)
+                or (self.max_bytes is not None and total > self.max_bytes))
 
     def _maybe_evict(self) -> None:
         if self.max_bytes is None and self.max_entries is None:
@@ -283,11 +264,10 @@ class ShardedResultStore:
         """Drop least-recently-used entries until within budget; returns
         ``(entries, bytes)`` removed."""
         removed = freed = 0
-        with self._index() as index:
-            entries = index["entries"]
-            by_age = sorted(entries, key=lambda d: entries[d].get("used", 0))
-            for digest in by_age:
-                if not self._over_budget(index):
+        with self._index() as entries:
+            total = _total(entries)
+            for digest in self._lru_order(entries):
+                if not self._over_budget(len(entries), total - freed):
                     break
                 meta = entries.pop(digest)
                 self.shard_path(digest).unlink(missing_ok=True)
@@ -300,17 +280,13 @@ class ShardedResultStore:
     # -- maintenance (repro cache {list,gc}) ----------------------------
 
     def total_bytes(self) -> int:
-        with self._index() as index:
-            return sum(meta.get("bytes", 0)
-                       for meta in index["entries"].values())
+        return _total(self._snapshot())
 
     def entries(self) -> list[dict]:
         """Index metadata for every cached report, most recent first."""
-        with self._index() as index:
-            found = [{"digest": digest, **meta}
-                     for digest, meta in index["entries"].items()]
-        found.sort(key=lambda meta: -meta.get("used", 0))
-        return found
+        entries = self._snapshot()
+        return [{"digest": digest, **entries[digest]}
+                for digest in reversed(self._lru_order(entries))]
 
     def gc(self, everything: bool = False) -> tuple[int, int]:
         """Remove unservable entries and enforce the budget; returns
@@ -326,13 +302,11 @@ class ShardedResultStore:
             freed = self.total_bytes()
             return self.clear(), freed
         removed = freed = 0
-        with self._index() as index:
-            entries = index["entries"]
+        with self._index() as entries:
             on_disk = {path.stem: path for path in self.root.glob("??/*.json")
                        if _DIGEST_NAME.match(path.name)}
-            for digest in list(entries):
-                if digest not in on_disk:
-                    del entries[digest]
+            for digest in entries.keys() - on_disk.keys():
+                del entries[digest]
             for path in self.root.glob("*.json"):
                 if _DIGEST_NAME.match(path.name):  # flat-layout leftover
                     freed += path.stat().st_size
@@ -346,8 +320,6 @@ class ShardedResultStore:
                     entries.pop(digest, None)
                     removed += 1
                 elif digest not in entries:
-                    index["clock"] += 1
-                    meta["used"] = index["clock"]
                     entries[digest] = meta
         evicted, evicted_bytes = self.evict()
         return removed + evicted, freed + evicted_bytes
@@ -369,3 +341,21 @@ class ShardedResultStore:
                     entry.unlink(missing_ok=True)
             self._index_path.unlink(missing_ok=True)
         return removed
+
+
+def _stamp(path: Path) -> None:
+    """Mark the entry at *path* most recently used: its mtime is now."""
+    now = time.time_ns()
+    os.utime(path, ns=(now, now))
+
+
+def _meta(job: dict, size: int) -> dict:
+    """An entry's index row: its size and the job fields it lists."""
+    return {"bytes": size, "kernel": job.get("kernel", "?"),
+            "scenario": job.get("scenario", "?"),
+            "scale": job.get("scale", "?"), "studies": job.get("studies", [])}
+
+
+def _total(entries: dict) -> int:
+    """The bytes the index's *entries* account for."""
+    return sum(meta.get("bytes", 0) for meta in entries.values())

@@ -1,12 +1,23 @@
 """The cached result store: digests, round-trips, compatibility."""
 
 import json
+from pathlib import Path
 
+import repro
+from repro.data import scenario_spec
+from repro.data.manifest import SUITE_MANIFEST, resolve_manifest
 from repro.harness.executor import Job
 from repro.harness.runner import SCHEMA_VERSION, KernelReport
 from repro.harness.store import job_digest
+from repro.kernels.base import KERNEL_REGISTRY
 from repro.serve.shards import ShardedResultStore
 from repro.uarch.cache import MACHINE_A, MACHINE_B
+
+#: Job digests (every kernel x machine x two study sets, scale 0.25,
+#: seed 1) and suite-cell spec digests (three run axes), captured before
+#: the keys were built from shallow field dicts.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_digests.json").read_text())
 
 
 def _job(**overrides):
@@ -63,6 +74,38 @@ class TestDigest:
         assert job_key(_job(kernel="not-registered"))["backend"] == ""
         assert (job_key(_job(kernel="not-registered", backend="simd"))
                 ["backend"] == "simd")
+
+
+class TestGoldenDigests:
+    """A moved digest orphans every cached report.  Job digests are taken
+    at the captured package version: a release bump moves them on
+    purpose, a change to how the key is built must not."""
+
+    def test_golden_covers_every_kernel_and_suite_cell(self):
+        kernels = {key.split("/")[0] for key in GOLDEN["jobs"]}
+        assert kernels == {name for name in KERNEL_REGISTRY
+                           if not name.startswith("fake-")}
+        cells = {key.split("/")[0] for key in GOLDEN["specs"]}
+        assert cells == {cell.name
+                         for cell in resolve_manifest(SUITE_MANIFEST).cells}
+
+    def test_job_digests_unchanged(self, monkeypatch):
+        monkeypatch.setattr(repro, "__version__", GOLDEN["package_version"])
+        machines = {config.name: config for config in (MACHINE_A, MACHINE_B)}
+        digests = {}
+        for key in GOLDEN["jobs"]:
+            kernel, machine, studies = key.split("/")
+            digests[key] = job_digest(Job(
+                kernel=kernel, studies=tuple(studies.split(",")),
+                scale=0.25, seed=1, cache_config=machines[machine]))
+        assert digests == GOLDEN["jobs"]
+
+    def test_spec_digests_unchanged(self):
+        digests = {}
+        for key in GOLDEN["specs"]:
+            cell, scale, seed = key.split("/")
+            digests[key] = scenario_spec(cell, float(scale), int(seed)).digest()
+        assert digests == GOLDEN["specs"]
 
 
 class TestStore:

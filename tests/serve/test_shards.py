@@ -3,14 +3,23 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import asdict
+from pathlib import Path
 
 from serveutil import make_job, ok_report
 
 from repro.harness.store import default_result_store, job_digest
 from repro.harness.runner import SCHEMA_VERSION
 from repro.obs import metrics as obs_metrics
+from repro.serve import shards
 from repro.serve.shards import ShardedResultStore
+
+#: Source tree for subprocess imports (tests run without installation).
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def populate(store: ShardedResultStore, count: int, **job_kwargs) -> list:
@@ -119,6 +128,117 @@ class TestLRUEviction:
         store = ShardedResultStore(tmp_path)
         assert store.max_entries == 7
         assert store.max_bytes is None  # unparsable -> unbounded
+
+
+def index_state(root: Path) -> tuple:
+    """``index.json``'s bytes, inode and mtime: any rewrite moves one."""
+    index = root / "index.json"
+    stat = index.stat()
+    return index.read_bytes(), stat.st_ino, stat.st_mtime_ns
+
+
+class TestMtimeRecency:
+    def test_hits_neither_lock_nor_write_the_index(self, tmp_path,
+                                                   monkeypatch):
+        store = ShardedResultStore(tmp_path)
+        jobs = populate(store, 3)
+        before = index_state(tmp_path)
+        locked = []
+        real_lock = shards.file_lock
+
+        def recording_lock(path):
+            locked.append(path)
+            return real_lock(path)
+
+        monkeypatch.setattr(shards, "file_lock", recording_lock)
+        for hit in range(100):
+            assert store.load(jobs[hit % 3]) is not None
+        assert locked == []
+        assert index_state(tmp_path) == before
+
+    def test_listing_and_sizing_write_nothing(self, tmp_path):
+        store = ShardedResultStore(tmp_path)
+        populate(store, 3)
+        before = index_state(tmp_path)
+        assert len(store.entries()) == 3
+        assert store.total_bytes() > 0
+        assert index_state(tmp_path) == before
+
+    def test_a_hit_in_another_process_protects_the_entry(self, tmp_path):
+        store = ShardedResultStore(tmp_path, background_eviction=False)
+        first, second = populate(store, 2, kernel="gbwt")
+        script = f"""
+            from repro.harness.executor import Job
+            from repro.serve.shards import ShardedResultStore
+            job = Job(kernel="gbwt", studies=("timing",), scale=0.05, seed=0)
+            assert ShardedResultStore({str(tmp_path)!r}).load(job) is not None
+        """
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(script)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        store.max_entries = 1
+        assert store.evict()[0] == 1
+        assert store.load(second) is None
+        assert store.load(first) is not None
+
+    def test_entry_removed_between_read_and_stamp(self, tmp_path,
+                                                  monkeypatch):
+        store = ShardedResultStore(tmp_path)
+        job = make_job()
+        store.save(job, ok_report(job))
+        real_stamp = shards._stamp
+
+        def evicted_first(path):
+            path.unlink()
+            real_stamp(path)
+
+        monkeypatch.setattr(shards, "_stamp", evicted_first)
+        assert store.load(job) == ok_report(job)
+        assert store.load(job) is None
+
+    def test_logical_clock_index_still_loads(self, tmp_path):
+        """An ``index.json`` with the older ``clock``/``used`` keys is
+        read as plain metadata; recency comes from the entry mtimes."""
+        store = ShardedResultStore(tmp_path, background_eviction=False)
+        jobs = populate(store, 3)
+        digests = [job_digest(job) for job in jobs]
+        entries = json.loads((tmp_path / "index.json").read_text())["entries"]
+        for used, digest in enumerate(digests, start=1):
+            entries[digest]["used"] = used  # clock says jobs[2] is newest
+        (tmp_path / "index.json").write_text(json.dumps(
+            {"clock": 3, "entries": entries}))
+        for age, digest in enumerate((digests[1], digests[2], digests[0])):
+            stamp = 1_000_000_000_000 + age
+            os.utime(store.shard_path(digest), ns=(stamp, stamp))
+
+        listed = store.entries()
+        assert [meta["digest"] for meta in listed] == [
+            digests[0], digests[2], digests[1]]
+        assert all("used" not in meta for meta in listed)
+        store.max_entries = 2
+        assert store.evict()[0] == 1
+        assert store.load(jobs[1]) is None
+        assert all(store.load(job) is not None for job in (jobs[0], jobs[2]))
+        rewritten = json.loads((tmp_path / "index.json").read_text())
+        assert set(rewritten) == {"entries"}
+        assert set(rewritten["entries"]) == {digests[0], digests[2]}
+
+    def test_back_to_back_saves_then_a_hit_evict_in_lru_order(self,
+                                                              tmp_path):
+        store = ShardedResultStore(tmp_path, background_eviction=False)
+        first, second, third = populate(store, 3)
+        assert store.load(first) is not None  # LRU order: 2nd, 3rd, 1st
+        store.max_entries = 2
+        assert store.evict()[0] == 1
+        assert store.load(second) is None
+        store.max_entries = 1
+        assert store.evict()[0] == 1
+        assert store.load(third) is None
+        assert store.load(first) is not None
 
 
 class TestIndexResilience:

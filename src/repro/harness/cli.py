@@ -986,7 +986,7 @@ def _command_cache(args: argparse.Namespace) -> int:
             ["digest", "kernel", "scenario", "scale", "studies", "size"],
             rows,
             title=(f"Result cache: {store.root} "
-                   f"({store.total_bytes() / 1024:.0f} KiB)"),
+                   f"({store.usage()[1] / 1024:.0f} KiB)"),
         ))
         return 0
     if args.cache_command == "gc":

@@ -58,11 +58,6 @@ class Variant:
         """Reference position just past the consumed bases."""
         return self.position + len(self.ref)
 
-    @property
-    def length_delta(self) -> int:
-        """Haplotype length change introduced by this variant."""
-        return len(self.alt) - len(self.ref)
-
 
 def _non_overlapping(variants: Sequence[Variant]) -> list[Variant]:
     """Return variants sorted by position with overlapping ones dropped."""

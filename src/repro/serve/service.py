@@ -559,8 +559,8 @@ class BenchService:
         cache: dict = {}
         if self.store is not None:
             try:
-                cache = {"entries": len(self.store.entries()),
-                         "bytes": self.store.total_bytes()}
+                entries, size = self.store.usage()
+                cache = {"entries": entries, "bytes": size}
             except OSError:  # a scrape must not fail on store races
                 cache = {}
         return {

@@ -4,44 +4,39 @@
 :class:`~repro.harness.runner.KernelReport`\\ s, keyed by
 :func:`~repro.harness.store.job_digest`.  Every job lookup and save goes
 through :class:`~repro.serve.service.BenchService`, so suite runs,
-sweeps and ``repro serve`` share it.  Reports live in digest-prefix
-shards, evicted least recently used first under a byte/entry budget::
+sweeps and ``repro serve`` share it.  The shard files are the whole
+store — there is no index::
 
     benchmarks/results/cache/
-        index.json            # {"entries": {digest: {"bytes", "kernel", ...}}}
-        index.lock            # flock target for cross-process index updates
+        evict.lock                  # flock target: one evictor at a time
         3f/
-            3fa1b2c3d4e5f607.json   # mtime = last save or hit
-        a9/
-            a9....json
+            3fa1b2c3d4e5f607.json   # {"schema_version", "job", "report"}
 
-* **Sharding** — ``<digest[:2]>/<digest>.json`` caps per-directory fanout
-  at 256 shards regardless of sweep size.
-* **LRU by mtime** — ``save`` and every hit stamp the entry file's mtime
-  to the current nanosecond (``os.utime``, so coarse filesystem write
-  times never decide the order); eviction removes the oldest first and
-  ``entries()`` lists the newest first, ties broken by digest.  A hit
-  never takes ``index.lock`` or writes ``index.json``, yet every process
-  sharing the directory sees its recency.
-* **Advisory index** — ``index.json`` holds entry sizes and job fields
-  (budgets, ``repro cache list``); a missing or corrupt one is rebuilt
-  from the shards, and one with the older ``clock``/``used`` keys loads.
-* **Budget + background eviction** — ``max_bytes`` / ``max_entries``
-  (or ``$REPRO_CACHE_MAX_BYTES`` / ``$REPRO_CACHE_MAX_ENTRIES``) form a
+* **Entries** — ``<digest[:2]>/<digest>.json`` caps per-directory fanout
+  at 256 shards.  An entry's size is its ``stat``, its job fields are
+  its own ``job`` key, and its LRU recency is its mtime.  A save is one
+  atomic write plus a stamp and takes no lock, so a writer killed at
+  any point leaves no entry or a whole one that every count sees.
+* **LRU by mtime** — ``save`` and every hit stamp the entry's mtime to
+  the current nanosecond (``os.utime``, so coarse filesystem write times
+  never decide the order), visible to every process sharing the
+  directory.  Eviction removes the oldest first and ``entries()`` lists
+  the newest first, ties broken by digest.
+* **Stat-only scans** — eviction, :meth:`~ShardedResultStore.usage`
+  (``/readyz``, the ``repro cache list`` header) and ``gc`` find entries
+  by ``stat`` alone; only ``entries()`` and ``gc`` open them.
+* **Budget** — ``max_bytes`` / ``max_entries`` (or
+  ``$REPRO_CACHE_MAX_BYTES`` / ``$REPRO_CACHE_MAX_ENTRIES``) form a
   high-water mark; a save that crosses it schedules eviction on a daemon
-  thread (``background_eviction=False`` makes it synchronous for
-  deterministic tests).  ``serve.cache.evictions`` counts removals and
-  ``serve.cache.bytes`` tracks the footprint.
+  thread (``join_eviction`` waits for it).  Eviction holds ``evict.lock``
+  plus an in-process mutex, so concurrent evictors never over-evict.
+  ``serve.cache.evictions`` counts removals and ``serve.cache.bytes``
+  tracks the footprint.
 * **Failures and stale entries** — failed reports (``report.error``
   set) are never cached, so a crash or timeout re-executes next time;
   unreadable or other-schema entries read as misses, and ``gc`` removes
   them along with leftover top-level ``<digest>.json`` files from the
   old flat layout, which are never served.
-
-Cross-process safety mirrors the dataset ``ArtifactStore``: index reads
-and read-modify-writes happen under an advisory ``flock`` (plus an
-in-process mutex), and both index and entries are written atomically
-(temp file + rename).
 """
 
 from __future__ import annotations
@@ -49,13 +44,12 @@ from __future__ import annotations
 import json
 import os
 import re
-import shutil
 import threading
 import time
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.data.store import atomic_write_bytes, file_lock
 from repro.harness.runner import SCHEMA_VERSION, KernelReport
@@ -67,9 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: ``<digest>.json`` filenames: shard entries (and flat-layout leftovers).
 _DIGEST_NAME = re.compile(r"^[0-9a-f]{16}\.json$")
-
-#: Index filename (lives next to the shards, never inside one).
-INDEX_NAME = "index.json"
 
 
 def _env_int(name: str) -> int | None:
@@ -94,14 +85,12 @@ class ShardedResultStore:
 
     def __init__(self, root: str | Path | None = None,
                  max_bytes: int | None = None,
-                 max_entries: int | None = None,
-                 background_eviction: bool = True) -> None:
+                 max_entries: int | None = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.max_bytes = (max_bytes if max_bytes is not None
                           else _env_int("REPRO_CACHE_MAX_BYTES"))
         self.max_entries = (max_entries if max_entries is not None
                             else _env_int("REPRO_CACHE_MAX_ENTRIES"))
-        self.background_eviction = background_eviction
         self._mutex = threading.Lock()
         self._bg_lock = threading.Lock()
         self._evictor: threading.Thread | None = None
@@ -114,39 +103,20 @@ class ShardedResultStore:
     def path(self, job: "Job") -> Path:
         return self.shard_path(job_digest(job))
 
-    @property
-    def _index_path(self) -> Path:
-        return self.root / INDEX_NAME
-
-    @property
-    def _lock_path(self) -> Path:
-        return self.root / "index.lock"
-
-    # -- index plumbing ------------------------------------------------
-
-    def _read_index(self) -> dict:
-        """The index's ``{digest: meta}`` entries, rebuilt from the
-        shards when ``index.json`` is missing or corrupt."""
-        try:
-            entries = json.loads(self._index_path.read_text())["entries"]
-        except (OSError, ValueError, KeyError, TypeError):
-            entries = None
-        if not isinstance(entries, dict):
-            return self._rebuild_index()
-        for meta in entries.values():
-            meta.pop("used", None)  # the older logical-clock format
-        return entries
-
-    def _rebuild_index(self) -> dict:
-        """Reconstruct the index by scanning the shards (the entries
-        themselves are the source of truth)."""
-        entries: dict = {}
+    def _scan(self) -> list[tuple[int, str, int]]:
+        """Every entry as ``(mtime_ns, digest, bytes)``, least recently
+        used first (ties broken by digest).  Stat-only; an entry removed
+        mid-scan is skipped."""
+        found = []
         for path in self.root.glob("??/*.json"):
-            if _DIGEST_NAME.match(path.name):
-                meta = self._entry_meta(path)
-                if meta is not None:
-                    entries[path.stem] = meta
-        return entries
+            if not _DIGEST_NAME.match(path.name):
+                continue
+            try:
+                stat = path.stat()
+            except OSError:
+                continue
+            found.append((stat.st_mtime_ns, path.stem, stat.st_size))
+        return sorted(found)
 
     @staticmethod
     def _payload(path: Path) -> dict | None:
@@ -161,51 +131,15 @@ class ShardedResultStore:
             return None
         return payload
 
-    @classmethod
-    def _entry_meta(cls, path: Path) -> dict | None:
-        """Index metadata for an entry file, or ``None`` if the file is
-        not a compatible cached report."""
-        payload = cls._payload(path)
-        if payload is None:
-            return None
-        return _meta(payload.get("job") or {}, path.stat().st_size)
-
-    @contextmanager
-    def _index(self) -> Iterator[dict]:
-        """Exclusive read-modify-write access to the index's entries."""
-        with self._mutex, file_lock(self._lock_path):
-            entries = self._read_index()
-            yield entries
-            atomic_write_bytes(self._index_path, json.dumps(
-                {"entries": entries}, sort_keys=True).encode())
-            metrics.gauge("serve.cache.bytes").set(float(_total(entries)))
-
-    def _snapshot(self) -> dict:
-        """The index's entries, read under the lock; writes nothing."""
-        if not self.root.is_dir():
-            return {}
-        with self._mutex, file_lock(self._lock_path):
-            return self._read_index()
-
-    def _lru_order(self, entries: dict) -> list[str]:
-        """*entries*' digests, least recently used (oldest entry mtime)
-        first; ties broken by digest, missing files first of all."""
-        def stamp(digest: str) -> int:
-            try:
-                return self.shard_path(digest).stat().st_mtime_ns
-            except OSError:
-                return -1
-        return sorted(entries, key=lambda digest: (stamp(digest), digest))
-
     # -- load / save ----------------------------------------------------
 
     def load(self, job: "Job") -> KernelReport | None:
         """The cached report for *job*, or ``None`` on any miss: absent,
         unreadable, another schema, or a failure record.
 
-        A hit stamps the entry's mtime (its LRU position) and touches
-        neither ``index.lock`` nor ``index.json``.  An entry removed
-        between the read and the stamp still returns the report read."""
+        A hit stamps the entry's mtime (its LRU position) and takes no
+        lock.  An entry removed between the read and the stamp still
+        returns the report read."""
         path = self.path(job)
         payload = self._payload(path)
         record = payload.get("report") if payload is not None else None
@@ -222,14 +156,12 @@ class ShardedResultStore:
         """Cache *report* under *job*'s digest (no-op for failures)."""
         if report.error is not None:
             return None
-        path, key = self.path(job), job_key(job)
-        payload = {"schema_version": SCHEMA_VERSION, "job": key,
+        path = self.path(job)
+        payload = {"schema_version": SCHEMA_VERSION, "job": job_key(job),
                    "report": asdict(report)}
         atomic_write_bytes(path, json.dumps(payload, indent=2,
                                             sort_keys=True).encode())
         _stamp(path)
-        with self._index() as entries:
-            entries[path.stem] = _meta(key, path.stat().st_size)
         self._maybe_evict()
         return path
 
@@ -241,9 +173,6 @@ class ShardedResultStore:
 
     def _maybe_evict(self) -> None:
         if self.max_bytes is None and self.max_entries is None:
-            return
-        if not self.background_eviction:
-            self.evict()
             return
         with self._bg_lock:
             if self._evictor is not None and self._evictor.is_alive():
@@ -264,83 +193,64 @@ class ShardedResultStore:
         """Drop least-recently-used entries until within budget; returns
         ``(entries, bytes)`` removed."""
         removed = freed = 0
-        with self._index() as entries:
-            total = _total(entries)
-            for digest in self._lru_order(entries):
-                if not self._over_budget(len(entries), total - freed):
+        with self._mutex, file_lock(self.root / "evict.lock"):
+            scan = self._scan()
+            total = sum(size for _mtime, _digest, size in scan)
+            for _mtime, digest, size in scan:
+                if not self._over_budget(len(scan) - removed, total - freed):
                     break
-                meta = entries.pop(digest)
                 self.shard_path(digest).unlink(missing_ok=True)
                 removed += 1
-                freed += meta.get("bytes", 0)
+                freed += size
+        metrics.gauge("serve.cache.bytes").set(float(total - freed))
         if removed:
             metrics.counter("serve.cache.evictions").inc(removed)
         return removed, freed
 
-    # -- maintenance (repro cache {list,gc}) ----------------------------
+    # -- maintenance (repro cache {list,gc}, /readyz) -------------------
 
-    def total_bytes(self) -> int:
-        return _total(self._snapshot())
+    def usage(self) -> tuple[int, int]:
+        """``(entries, bytes)`` on disk, from a stat-only scan."""
+        scan = self._scan()
+        return len(scan), sum(size for _mtime, _digest, size in scan)
 
     def entries(self) -> list[dict]:
-        """Index metadata for every cached report, most recent first."""
-        entries = self._snapshot()
-        return [{"digest": digest, **entries[digest]}
-                for digest in reversed(self._lru_order(entries))]
+        """Size and job fields of every servable entry, most recently
+        used first.  The one listing that opens entry files."""
+        listed = []
+        for _mtime, digest, size in reversed(self._scan()):
+            payload = self._payload(self.shard_path(digest))
+            if payload is not None:
+                listed.append(_meta(digest, payload.get("job") or {}, size))
+        return listed
 
     def gc(self, everything: bool = False) -> tuple[int, int]:
-        """Remove unservable entries and enforce the budget; returns
+        """Remove unservable entries, then enforce the budget; returns
         ``(entries, bytes)`` removed.
 
         Unservable means unreadable, written by a different report
         schema, or a top-level ``<digest>.json`` left by the old flat
-        layout.  Orphan files (on disk but unindexed) are adopted into
-        the index; orphan index rows (no file) are dropped.
-        ``everything=True`` clears the store.
+        layout.  ``everything=True`` removes every entry.
         """
-        if everything:
-            freed = self.total_bytes()
-            return self.clear(), freed
+        doomed = [path for path in self.root.glob("*.json")
+                  if _DIGEST_NAME.match(path.name)]
+        for _mtime, digest, _size in self._scan():
+            path = self.shard_path(digest)
+            if everything or self._payload(path) is None:
+                doomed.append(path)
         removed = freed = 0
-        with self._index() as entries:
-            on_disk = {path.stem: path for path in self.root.glob("??/*.json")
-                       if _DIGEST_NAME.match(path.name)}
-            for digest in entries.keys() - on_disk.keys():
-                del entries[digest]
-            for path in self.root.glob("*.json"):
-                if _DIGEST_NAME.match(path.name):  # flat-layout leftover
-                    freed += path.stat().st_size
-                    path.unlink(missing_ok=True)
-                    removed += 1
-            for digest, path in on_disk.items():
-                meta = self._entry_meta(path)
-                if meta is None:  # stale schema / corrupt: unservable
-                    freed += path.stat().st_size
-                    path.unlink(missing_ok=True)
-                    entries.pop(digest, None)
-                    removed += 1
-                elif digest not in entries:
-                    entries[digest] = meta
+        for path in doomed:
+            with suppress(OSError):
+                size = path.stat().st_size
+                path.unlink()
+                removed += 1
+                freed += size
         evicted, evicted_bytes = self.evict()
         return removed + evicted, freed + evicted_bytes
 
     def clear(self) -> int:
-        """Delete every cached report (and the index); returns the
-        number of entries removed."""
-        removed = 0
-        if not self.root.is_dir():
-            return removed
-        with self._mutex, file_lock(self._lock_path):
-            for entry in list(self.root.iterdir()):
-                if entry.is_dir():
-                    removed += sum(1 for p in entry.glob("*.json")
-                                   if _DIGEST_NAME.match(p.name))
-                    shutil.rmtree(entry, ignore_errors=True)
-                elif entry.suffix == ".json" and entry.name != INDEX_NAME:
-                    removed += 1
-                    entry.unlink(missing_ok=True)
-            self._index_path.unlink(missing_ok=True)
-        return removed
+        """Delete every cached report; returns how many."""
+        return self.gc(everything=True)[0]
 
 
 def _stamp(path: Path) -> None:
@@ -349,13 +259,9 @@ def _stamp(path: Path) -> None:
     os.utime(path, ns=(now, now))
 
 
-def _meta(job: dict, size: int) -> dict:
-    """An entry's index row: its size and the job fields it lists."""
-    return {"bytes": size, "kernel": job.get("kernel", "?"),
+def _meta(digest: str, job: dict, size: int) -> dict:
+    """An entry's listing row: its digest, size and job fields."""
+    return {"digest": digest, "bytes": size,
+            "kernel": job.get("kernel", "?"),
             "scenario": job.get("scenario", "?"),
             "scale": job.get("scale", "?"), "studies": job.get("studies", [])}
-
-
-def _total(entries: dict) -> int:
-    """The bytes the index's *entries* account for."""
-    return sum(meta.get("bytes", 0) for meta in entries.values())

@@ -64,7 +64,7 @@ class TestCli:
         second = capsys.readouterr().out
         # The cached report is served verbatim: identical wall seconds.
         assert second == first
-        assert list((tmp_path / "cache").glob("*.json"))
+        assert list((tmp_path / "cache").glob("??/*.json"))
 
     def test_failing_kernel_exits_nonzero(self, capsys, fake_kernels):
         code = main(["run", "--kernels", "fake-crash", "fake-ok",

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import builtins
+import io
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from serveutil import make_job, ok_report
@@ -266,6 +269,34 @@ class TestObservability:
         total = sum(exported["histograms"][key]["count"]
                     for key in latency_series)
         assert total == 2
+
+    def test_readiness_stats_cache_entries_without_opening_them(
+            self, tmp_path, monkeypatch):
+        store = ShardedResultStore(tmp_path)
+        for seed in range(3):
+            job = make_job(seed=seed)
+            store.save(job, ok_report(job))
+        entries = sorted(tmp_path.glob("??/*.json"))
+        opened = []
+        real_open = io.open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(Path(file) if isinstance(file, (str, Path))
+                          else file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", recording_open)
+        monkeypatch.setattr(builtins, "open", recording_open)
+        service = BenchService(workers=1, isolation="inline", store=store,
+                               runner=counting_runner([]))
+        cache = service.readiness()["cache"]
+        opened_by_readiness = set(opened)
+        store.entries()  # control: a listing opens every entry
+        monkeypatch.undo()
+        assert cache == {"entries": 3, "bytes": sum(
+            path.stat().st_size for path in entries)}
+        assert not opened_by_readiness & set(entries)
+        assert set(opened) >= set(entries)
 
     def test_shutdown_merges_metrics_into_ambient_registry(self, tmp_path):
         from repro.obs import metrics as obs_metrics

@@ -30,6 +30,12 @@ def populate(store: ShardedResultStore, count: int, **job_kwargs) -> list:
     return jobs
 
 
+def settle(store: ShardedResultStore) -> None:
+    """Finish any background eviction, then enforce the budget now."""
+    store.join_eviction()
+    store.evict()
+
+
 class TestShardedLayout:
     def test_entries_land_in_digest_prefix_shards(self, tmp_path):
         store = ShardedResultStore(tmp_path)
@@ -38,7 +44,7 @@ class TestShardedLayout:
         digest = job_digest(job)
         assert path == tmp_path / digest[:2] / f"{digest}.json"
         assert path.is_file()
-        assert (tmp_path / "index.json").is_file()
+        assert not (tmp_path / "index.json").exists()
 
     def test_load_roundtrip_across_instances(self, tmp_path):
         job = make_job(seed=11)
@@ -69,12 +75,12 @@ class TestShardedLayout:
 
 class TestLRUEviction:
     def test_least_recently_used_evicted_first(self, tmp_path):
-        store = ShardedResultStore(tmp_path, max_entries=2,
-                                   background_eviction=False)
+        store = ShardedResultStore(tmp_path, max_entries=2)
         first, second = populate(store, 2)
         assert store.load(first) is not None  # touch: first is now MRU
         third = make_job(seed=2)
         store.save(third, ok_report(third))  # over budget -> evict LRU
+        settle(store)
         assert store.load(second) is None
         assert store.load(first) is not None
         assert store.load(third) is not None
@@ -93,19 +99,18 @@ class TestLRUEviction:
     def test_byte_budget_enforced(self, tmp_path):
         unbounded = ShardedResultStore(tmp_path)
         populate(unbounded, 4)
-        total = unbounded.total_bytes()
+        total = unbounded.usage()[1]
         per_entry = total // 4
-        bounded = ShardedResultStore(tmp_path, max_bytes=2 * per_entry + 1,
-                                     background_eviction=False)
+        bounded = ShardedResultStore(tmp_path, max_bytes=2 * per_entry + 1)
         removed, freed = bounded.evict()
         assert removed == 2
         assert freed > 0
-        assert bounded.total_bytes() <= 2 * per_entry + 1
+        assert bounded.usage() == (2, total - freed)
+        assert total - freed <= 2 * per_entry + 1
         assert len(bounded.entries()) == 2
 
     def test_background_eviction_runs_off_thread(self, tmp_path):
-        store = ShardedResultStore(tmp_path, max_entries=1,
-                                   background_eviction=True)
+        store = ShardedResultStore(tmp_path, max_entries=1)
         populate(store, 3)
         store.join_eviction()
         # Possibly several background passes; the budget always wins.
@@ -115,9 +120,9 @@ class TestLRUEviction:
     def test_eviction_metrics(self, tmp_path):
         registry = obs_metrics.MetricsRegistry()
         with obs_metrics.use(registry):
-            store = ShardedResultStore(tmp_path, max_entries=1,
-                                       background_eviction=False)
+            store = ShardedResultStore(tmp_path, max_entries=1)
             populate(store, 3)
+            settle(store)
         exported = registry.as_dict()
         assert exported["counters"]["serve.cache.evictions"] == 2
         assert exported["gauges"]["serve.cache.bytes"] > 0
@@ -130,11 +135,21 @@ class TestLRUEviction:
         assert store.max_bytes is None  # unparsable -> unbounded
 
 
-def index_state(root: Path) -> tuple:
-    """``index.json``'s bytes, inode and mtime: any rewrite moves one."""
-    index = root / "index.json"
-    stat = index.stat()
-    return index.read_bytes(), stat.st_ino, stat.st_mtime_ns
+def tree_state(root: Path) -> dict:
+    """Every file under *root* as ``{relative path: (bytes, inode,
+    mtime_ns)}``: any write, rewrite or new file moves it."""
+    state = {}
+    for path in root.rglob("*"):
+        if path.is_file():
+            stat = path.stat()
+            state[str(path.relative_to(root))] = (
+                path.read_bytes(), stat.st_ino, stat.st_mtime_ns)
+    return state
+
+
+def is_entry(relative: str) -> bool:
+    shard, _, name = relative.partition("/")
+    return len(shard) == 2 and name.endswith(".json")
 
 
 class TestMtimeRecency:
@@ -142,7 +157,8 @@ class TestMtimeRecency:
                                                    monkeypatch):
         store = ShardedResultStore(tmp_path)
         jobs = populate(store, 3)
-        before = index_state(tmp_path)
+        (tmp_path / "index.json").write_text("{}")  # a leftover, ignored
+        before = tree_state(tmp_path)
         locked = []
         real_lock = shards.file_lock
 
@@ -154,18 +170,24 @@ class TestMtimeRecency:
         for hit in range(100):
             assert store.load(jobs[hit % 3]) is not None
         assert locked == []
-        assert index_state(tmp_path) == before
+        after = tree_state(tmp_path)
+        assert after.keys() == before.keys()
+        for relative, (data, inode, mtime) in before.items():
+            assert after[relative][:2] == (data, inode)
+            # Only the entries' mtimes move: a hit stamps its entry.
+            assert (after[relative][2] != mtime) == is_entry(relative)
 
     def test_listing_and_sizing_write_nothing(self, tmp_path):
         store = ShardedResultStore(tmp_path)
         populate(store, 3)
-        before = index_state(tmp_path)
+        before = tree_state(tmp_path)
         assert len(store.entries()) == 3
-        assert store.total_bytes() > 0
-        assert index_state(tmp_path) == before
+        assert store.usage()[0] == 3
+        assert store.usage()[1] > 0
+        assert tree_state(tmp_path) == before
 
     def test_a_hit_in_another_process_protects_the_entry(self, tmp_path):
-        store = ShardedResultStore(tmp_path, background_eviction=False)
+        store = ShardedResultStore(tmp_path)
         first, second = populate(store, 2, kernel="gbwt")
         script = f"""
             from repro.harness.executor import Job
@@ -201,16 +223,16 @@ class TestMtimeRecency:
         assert store.load(job) is None
 
     def test_logical_clock_index_still_loads(self, tmp_path):
-        """An ``index.json`` with the older ``clock``/``used`` keys is
-        read as plain metadata; recency comes from the entry mtimes."""
-        store = ShardedResultStore(tmp_path, background_eviction=False)
+        """A leftover ``index.json`` from an older store (``clock``/
+        ``used`` keys, a phantom row) is ignored: listing, ordering and
+        eviction follow the entry mtimes, and the file is never touched."""
+        store = ShardedResultStore(tmp_path)
         jobs = populate(store, 3)
         digests = [job_digest(job) for job in jobs]
-        entries = json.loads((tmp_path / "index.json").read_text())["entries"]
-        for used, digest in enumerate(digests, start=1):
-            entries[digest]["used"] = used  # clock says jobs[2] is newest
-        (tmp_path / "index.json").write_text(json.dumps(
-            {"clock": 3, "entries": entries}))
+        leftover = json.dumps({"clock": 3, "entries": {
+            digest: {"bytes": 1, "kernel": "fake-ok", "used": used}
+            for used, digest in enumerate(digests + ["0" * 16], start=1)}})
+        (tmp_path / "index.json").write_text(leftover)  # jobs[2] newest
         for age, digest in enumerate((digests[1], digests[2], digests[0])):
             stamp = 1_000_000_000_000 + age
             os.utime(store.shard_path(digest), ns=(stamp, stamp))
@@ -219,17 +241,16 @@ class TestMtimeRecency:
         assert [meta["digest"] for meta in listed] == [
             digests[0], digests[2], digests[1]]
         assert all("used" not in meta for meta in listed)
+        assert all(meta["bytes"] > 1 for meta in listed)
         store.max_entries = 2
         assert store.evict()[0] == 1
         assert store.load(jobs[1]) is None
         assert all(store.load(job) is not None for job in (jobs[0], jobs[2]))
-        rewritten = json.loads((tmp_path / "index.json").read_text())
-        assert set(rewritten) == {"entries"}
-        assert set(rewritten["entries"]) == {digests[0], digests[2]}
+        assert (tmp_path / "index.json").read_text() == leftover
 
     def test_back_to_back_saves_then_a_hit_evict_in_lru_order(self,
                                                               tmp_path):
-        store = ShardedResultStore(tmp_path, background_eviction=False)
+        store = ShardedResultStore(tmp_path)
         first, second, third = populate(store, 3)
         assert store.load(first) is not None  # LRU order: 2nd, 3rd, 1st
         store.max_entries = 2
@@ -243,6 +264,8 @@ class TestMtimeRecency:
 
 class TestIndexResilience:
     def test_corrupt_index_is_rebuilt_from_shards(self, tmp_path):
+        """A corrupt leftover ``index.json`` changes nothing: the shards
+        are the store."""
         store = ShardedResultStore(tmp_path)
         jobs = populate(store, 3)
         (tmp_path / "index.json").write_text("}}garbage{{")
@@ -251,12 +274,55 @@ class TestIndexResilience:
         for job in jobs:
             assert fresh.load(job) is not None
 
-    def test_missing_index_is_rebuilt(self, tmp_path):
-        store = ShardedResultStore(tmp_path)
-        jobs = populate(store, 2)
-        (tmp_path / "index.json").unlink()
-        assert len(ShardedResultStore(tmp_path).entries()) == 2
-        assert ShardedResultStore(tmp_path).load(jobs[0]) is not None
+
+class TestCrashSafety:
+    def test_a_save_killed_after_its_rename_is_counted_and_evicted(
+            self, tmp_path):
+        store = ShardedResultStore(tmp_path / "cache", max_entries=1)
+        kept, killed = make_job(seed=0), make_job(seed=1)
+        store.save(kept, ok_report(kept))
+        settle(store)
+        # The killed save got as far as its entry's rename and stamp.
+        written = ShardedResultStore(tmp_path / "other").save(
+            killed, ok_report(killed))
+        path = store.path(killed)
+        shards.atomic_write_bytes(path, written.read_bytes())
+        shards._stamp(path)
+
+        assert [meta["digest"] for meta in store.entries()] == [
+            job_digest(killed), job_digest(kept)]
+        assert store.usage()[0] == 2
+        assert store.evict()[0] == 1
+        assert store.load(kept) is None
+        assert store.load(killed) is not None
+
+    def test_a_save_is_one_write_and_takes_no_lock(self, tmp_path,
+                                                   monkeypatch):
+        writes, locks = [], []
+        real_write, real_lock = shards.atomic_write_bytes, shards.file_lock
+
+        def recording_write(path, payload):
+            writes.append(path)
+            real_write(path, payload)
+
+        def recording_lock(path):
+            locks.append(path)
+            return real_lock(path)
+
+        monkeypatch.setattr(shards, "atomic_write_bytes", recording_write)
+        monkeypatch.setattr(shards, "file_lock", recording_lock)
+        job = make_job()
+        unbounded = ShardedResultStore(tmp_path / "unbounded")
+        unbounded.save(job, ok_report(job))
+        assert writes == [unbounded.path(job)]
+        assert locks == []
+
+        writes.clear()
+        bounded = ShardedResultStore(tmp_path / "bounded", max_entries=1)
+        bounded.save(job, ok_report(job))
+        bounded.join_eviction()
+        assert writes == [bounded.path(job)]
+        assert locks == [tmp_path / "bounded" / "evict.lock"]  # the evictor
 
 
 class TestGC:
@@ -267,9 +333,9 @@ class TestGC:
         bad = tmp_path / "ab" / "abadcafe0badcafe.json"
         bad.parent.mkdir(exist_ok=True)
         bad.write_text("{corrupt")
-        # ...an orphan index row (file deleted behind the index)...
+        # ...an entry deleted behind the store's back...
         store.path(jobs[0]).unlink()
-        # ...and an orphan file (a valid report on disk, never indexed).
+        # ...and a valid report copied in without a save.
         orphan_job = make_job(seed=77)
         elsewhere = ShardedResultStore(tmp_path / "elsewhere")
         written = elsewhere.save(orphan_job, ok_report(orphan_job))
@@ -281,9 +347,9 @@ class TestGC:
         assert removed >= 1
         assert not bad.exists()
         digests = {meta["digest"] for meta in store.entries()}
-        assert job_digest(jobs[0]) not in digests   # orphan row dropped
+        assert job_digest(jobs[0]) not in digests
         assert job_digest(jobs[1]) in digests
-        assert job_digest(orphan_job) in digests    # orphan file adopted
+        assert job_digest(orphan_job) in digests
         assert store.load(orphan_job) is not None
 
     def test_gc_removes_flat_layout_leftovers(self, tmp_path):
@@ -300,7 +366,7 @@ class TestGC:
         assert store.load(job) is None  # no stale-path hit, no crash
         removed, freed = store.gc()
         assert removed == 2 and freed > 0
-        assert {p.name for p in tmp_path.glob("*.json")} <= {"index.json"}
+        assert not any(tmp_path.glob("*.json"))
         assert store.entries() == []
 
     def test_gc_everything_clears_the_store(self, tmp_path):
